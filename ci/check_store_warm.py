@@ -40,7 +40,7 @@ def forbid_simulation() -> None:
 
     executor.run_cell_inline = boom
     executor.run_inline = boom
-    executor.run_pool = boom
+    executor.pool_map = boom
 
 
 def main() -> int:

@@ -5,16 +5,12 @@ Subcommands:
 - ``run`` — run one workload on one policy, print the headline metrics
   (optionally energy breakdown, stats dump, protocol trace tail).
 - ``compare`` — run one workload across several policies, print a table.
-- ``figures`` — regenerate the paper's figures (Figures 4-7 + tables).
-- ``bench`` — regenerate figures through the results store (``--jobs``,
-  ``--no-cache``, ``--clear-cache``, ``--serve``); warm cells are
+- ``figures`` — regenerate the paper's figures (Figures 4-7, plus
+  Tables II/III with ``--figure all``) through the results store
+  (``--jobs``, ``--no-cache``, ``--clear-cache``); warm cells are
   sub-millisecond store lookups.
 - ``store`` — administer the persistent SQLite results store
-  (``stats``, ``gc``, ``clear``, ``export``/``import`` snapshots,
-  ``migrate`` a legacy ``.repro_cache/`` tree).
-- ``serve`` — run the always-on cell server: shards cold cells over a
-  persistent worker pool, dedups in-flight identical cells, answers
-  warm cells from the store.
+  (``stats``, ``gc``, ``clear``, ``export``/``import`` snapshots).
 - ``lint-protocol`` — statically lint every shipped transition table
   (unhandled pairs, unreachable states, dead transitions).
 - ``litmus`` — run the litmus suite across schedules and policy variants
@@ -95,37 +91,27 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--scale", type=float, default=1.0)
     cmp_p.add_argument("--energy", action="store_true")
 
-    fig_p = sub.add_parser("figures", help="regenerate the paper's figures")
-    fig_p.add_argument("--scale", type=float, default=1.0)
+    fig_p = sub.add_parser(
+        "figures",
+        help="regenerate the paper's figures via the parallel runner and "
+             "the persistent results store",
+    )
+    fig_p.add_argument("--figure", choices=["4", "5", "6", "7", "all"],
+                       default="all", help="which figure to regenerate")
     fig_p.add_argument("--jobs", type=_positive_int, default=None,
                        help="worker processes (default: os.cpu_count())")
-
-    bench_p = sub.add_parser(
-        "bench",
-        help="regenerate figures via the parallel runner + persistent cache",
-    )
-    bench_p.add_argument("--figure", choices=["4", "5", "6", "7", "all"],
-                         default="all", help="which figure to regenerate")
-    bench_p.add_argument("--jobs", type=_positive_int, default=None,
-                         help="worker processes (default: os.cpu_count())")
-    bench_p.add_argument("--scale", type=float, default=1.0)
-    bench_p.add_argument("--verify", action="store_true",
-                         help="attach the invariant monitor and value oracle")
-    bench_p.add_argument("--no-cache", action="store_true",
-                         help="disable the persistent results store")
-    bench_p.add_argument("--store-path", default=None, metavar="DB",
-                         help="results store location (default: "
-                              ".repro_store.sqlite, or $REPRO_STORE_PATH)")
-    bench_p.add_argument("--cache-dir", default=None, metavar="DIR",
-                         help="use the legacy file cache at DIR instead of "
-                              "the SQLite store")
-    bench_p.add_argument("--clear-cache", action="store_true",
-                         help="clear the store/cache before running")
-    bench_p.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="per-cell wall-clock timeout in seconds")
-    bench_p.add_argument("--serve", default=None, metavar="HOST:PORT",
-                         help="resolve cold cells via a running "
-                              "`repro serve` daemon (default: $REPRO_SERVE)")
+    fig_p.add_argument("--scale", type=float, default=1.0)
+    fig_p.add_argument("--verify", action="store_true",
+                       help="attach the invariant monitor and value oracle")
+    fig_p.add_argument("--no-cache", action="store_true",
+                       help="disable the persistent results store")
+    fig_p.add_argument("--store-path", default=None, metavar="DB",
+                       help="results store location (default: "
+                            ".repro_store.sqlite, or $REPRO_STORE_PATH)")
+    fig_p.add_argument("--clear-cache", action="store_true",
+                       help="clear the store before running")
+    fig_p.add_argument("--timeout", type=float, default=None, metavar="S",
+                       help="per-cell wall-clock timeout in seconds")
 
     prof_p = sub.add_parser(
         "profile",
@@ -261,11 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="administer the persistent SQLite results store",
     )
     store_p.add_argument("action",
-                         choices=["stats", "gc", "clear", "export", "import",
-                                  "migrate"])
+                         choices=["stats", "gc", "clear", "export", "import"])
     store_p.add_argument("file", nargs="?", default=None,
-                         help="snapshot file (export/import) or legacy "
-                              "cache directory (migrate)")
+                         help="snapshot file (export/import)")
     store_p.add_argument("--path", default=None, metavar="DB",
                          help="store location (default: .repro_store.sqlite, "
                               "or $REPRO_STORE_PATH)")
@@ -278,23 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     store_p.add_argument("--older-than", type=float, default=None,
                          metavar="S", help="gc: also drop fresh rows older "
                          "than S seconds")
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the always-on experiment-cell server (localhost HTTP)",
-    )
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=0,
-                         help="listen port (default: ephemeral; the bound "
-                              "address is printed on startup)")
-    serve_p.add_argument("--jobs", type=_positive_int, default=None,
-                         help="persistent worker processes "
-                              "(default: os.cpu_count())")
-    serve_p.add_argument("--timeout", type=float, default=None, metavar="S",
-                         help="default per-cell wall-clock timeout")
-    serve_p.add_argument("--store-path", default=None, metavar="DB",
-                         help="results store location (default: "
-                              ".repro_store.sqlite, or $REPRO_STORE_PATH)")
 
     val_p = sub.add_parser("validate",
                            help="check every headline claim (scorecard)")
@@ -384,42 +351,22 @@ def _compare(args) -> int:
 
 
 def _figures(args) -> int:
-    matrix = ExperimentMatrix(scale=args.scale, jobs=getattr(args, "jobs", None))
-    print(table2_text())
-    print()
-    print(table3_text())
-    for figure in (run_figure4(matrix), run_figure5(matrix),
-                   run_figure6(matrix), run_figure7(matrix)):
-        print("\n" + "=" * 70)
-        print(figure.to_text())
-        if figure.name == "Figure 5":
-            print(f"average reduction: {figure5_reduction(figure):.1f}% [paper: 50.4%]")
-    return 0
-
-
-def _bench(args) -> int:
     import time
 
-    from repro.runner import ResultCache, default_progress
+    from repro.runner import default_progress
     from repro.store import ResultStore
 
-    if args.cache_dir is not None:
-        backend = ResultCache(args.cache_dir, enabled=not args.no_cache)
-        location = backend.root
-    else:
-        backend = ResultStore(args.store_path, enabled=not args.no_cache)
-        location = backend.path
+    store = ResultStore(args.store_path)
     if args.clear_cache:
-        removed = backend.clear()
-        print(f"cleared {removed} stored result(s) from {location}")
+        removed = store.clear()
+        print(f"cleared {removed} stored result(s) from {store.path}")
     matrix = ExperimentMatrix(
         scale=args.scale,
         verify=args.verify,
         jobs=args.jobs,
-        store=backend if not args.no_cache else None,
+        store=None if args.no_cache else store,
         progress=default_progress,
         timeout_s=args.timeout,
-        serve=args.serve,
     )
     figures = {
         "4": run_figure4,
@@ -427,7 +374,13 @@ def _bench(args) -> int:
         "6": run_figure6,
         "7": run_figure7,
     }
-    selected = list(figures.values()) if args.figure == "all" else [figures[args.figure]]
+    if args.figure == "all":
+        selected = list(figures.values())
+        print(table2_text())
+        print()
+        print(table3_text())
+    else:
+        selected = [figures[args.figure]]
     start = time.perf_counter()
     for regenerate in selected:
         figure = regenerate(matrix)
@@ -436,11 +389,13 @@ def _bench(args) -> int:
         if figure.name == "Figure 5":
             print(f"average reduction: {figure5_reduction(figure):.1f}% [paper: 50.4%]")
     elapsed = time.perf_counter() - start
-    print(
-        f"\n[bench] {elapsed:.2f}s wall clock, "
-        f"store: {backend.hits} hit(s) / {backend.misses} miss(es) "
-        f"at {location}"
-    )
+    if args.no_cache:
+        usage = "store: disabled (--no-cache)"
+    else:
+        usage = (f"store: {store.hits} hit(s) / {store.misses} miss(es) "
+                 f"at {store.path}")
+    print(f"\n[figures] {elapsed:.2f}s wall clock, {usage}")
+    store.close()
     return 0
 
 
@@ -790,35 +745,8 @@ def _store(args) -> int:
         )
         print(f"exported {count} row(s) to {args.file}")
         return 0
-    if args.action == "import":
-        count = store.import_snapshot(args.file)
-        print(f"imported {count} row(s) from {args.file} into {store.path}")
-        return 0
-    count = store.migrate_cache(args.file)
-    print(f"migrated {count} legacy cache entr(ies) from {args.file} "
-          f"into {store.path}")
-    return 0
-
-
-def _serve(args) -> int:
-    from repro.serve import ServeDaemon
-    from repro.store import ResultStore
-
-    store = ResultStore(args.store_path)
-    daemon = ServeDaemon(
-        store, host=args.host, port=args.port, jobs=args.jobs,
-        timeout_s=args.timeout,
-    )
-    print(f"[serve] listening on {daemon.address} "
-          f"({daemon.jobs} worker(s), store {store.path})")
-    print(f"[serve] point clients at it with REPRO_SERVE={daemon.address}")
-    try:
-        daemon.serve_forever()
-    except KeyboardInterrupt:
-        print("\n[serve] shutting down")
-    finally:
-        daemon.shutdown()
-        store.close()
+    count = store.import_snapshot(args.file)
+    print(f"imported {count} row(s) from {args.file} into {store.path}")
     return 0
 
 
@@ -850,8 +778,6 @@ def main(argv: list[str] | None = None) -> int:
         return _compare(args)
     if args.command == "figures":
         return _figures(args)
-    if args.command == "bench":
-        return _bench(args)
     if args.command == "profile":
         return _profile(args)
     if args.command == "lint-protocol":
@@ -862,8 +788,6 @@ def main(argv: list[str] | None = None) -> int:
         return _fuzz(args)
     if args.command == "store":
         return _store(args)
-    if args.command == "serve":
-        return _serve(args)
     if args.command == "validate":
         return _validate(args)
     return _list()

@@ -153,10 +153,6 @@ class DirEntry:
     def overflow(self, value: bool) -> None:
         self._store.overflow[self._slot] = value
 
-    @property
-    def _pointer_limit(self) -> int | None:
-        return self._store.pointer_limit
-
     # -- sharer bookkeeping ------------------------------------------------
 
     def add_sharer(self, name: str) -> None:

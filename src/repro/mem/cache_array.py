@@ -460,10 +460,6 @@ class CacheArray:
     def occupancy(self) -> int:
         return len(self._index)
 
-    def set_of(self, addr: int) -> list["_LineView"]:
-        base = self.set_index(addr) * self.ways
-        return self._views[base:base + self.ways]
-
     def __contains__(self, addr: int) -> bool:
         return addr in self._index
 

@@ -1,13 +1,15 @@
-"""Parallel experiment runner with a persistent result cache.
+"""Parallel execution of simulation cells.
 
 Public surface:
 
 - :class:`Cell` — one (workload, config) simulation.
-- :func:`run_cells` — cache-aware, process-pool execution of many cells.
-- :class:`ResultCache` / :func:`cell_key` — the on-disk cache.
+- :func:`run_cell_inline` — the serial in-process reference path.
+- :class:`CellError` / :class:`CellTimeout` — failures the pool reports.
+
+Cells resolve through :func:`repro.store.resolve_cells`, which fans the
+ones the store cannot answer out over this package's process pool.
 """
 
-from repro.runner.cache import ResultCache, cell_key, source_digest, workload_token
 from repro.runner.cells import Cell
 from repro.runner.executor import (
     CellError,
@@ -15,19 +17,13 @@ from repro.runner.executor import (
     default_progress,
     effective_jobs,
     run_cell_inline,
-    run_cells,
 )
 
 __all__ = [
     "Cell",
     "CellError",
     "CellTimeout",
-    "ResultCache",
-    "cell_key",
     "default_progress",
     "effective_jobs",
     "run_cell_inline",
-    "run_cells",
-    "source_digest",
-    "workload_token",
 ]

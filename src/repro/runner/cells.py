@@ -3,7 +3,7 @@
 The evaluation matrix — figures, tables, ablations, design-space sweeps —
 decomposes into *cells*: a workload run on one fully-specified
 :class:`SystemConfig`.  Cells are deterministic and independent, which is
-what lets the executor fan them out over a process pool and the cache key
+what lets the executor fan them out over a process pool and the store key
 them content-addressed.
 """
 

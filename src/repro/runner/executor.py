@@ -1,16 +1,15 @@
-"""Process-pool execution of simulation cells.
+"""Process-pool execution primitives for cells and litmus runs.
 
-``run_cells`` is a thin client of the results store: it delegates to
-:func:`repro.store.resolve.resolve_cells`, the single resolution entry
-point shared by figures, sweeps, benchmarks, and the serve daemon.  This
-module keeps the execution primitives resolution fans out to:
+:func:`repro.store.resolve.resolve_cells` and ``resolve_litmus`` decide
+*what* to run; this module runs it:
 
-- :func:`run_cell_inline` — the serial in-process reference path;
-- :func:`run_pool` — fan-out over a :class:`ProcessPoolExecutor` with a
-  per-cell timeout (SIGALRM inside the worker, where available) and
-  bounded retries for crashed *or* timed-out cells;
-- :func:`_run_payload` — the worker entry point (also used by the serve
-  daemon's persistent pool).
+- :func:`run_cell_inline` / :func:`run_inline` — the serial in-process
+  reference path;
+- :func:`pool_map` — fan-out over a :class:`ProcessPoolExecutor` with a
+  per-item timeout (SIGALRM inside the worker, where available) and
+  bounded retries for crashed *or* timed-out items;
+- :func:`cell_payload` / :func:`litmus_payload` and their worker entry
+  points — what crosses the process boundary.
 
 Workers rebuild the system from the serialized config and return the
 result as a plain dict (see :mod:`repro.system.serialize`), so nothing
@@ -26,6 +25,7 @@ import signal
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from typing import Callable, Sequence
 
 from repro.runner.cells import Cell
@@ -57,45 +57,51 @@ def _alarm_handler(_signum, _frame):  # pragma: no cover - fires in workers
     raise CellTimeout("cell exceeded its wall-clock timeout")
 
 
-def _cell_payload(cell: Cell, timeout_s: float | None) -> dict:
-    return {
+@contextmanager
+def _alarm(timeout_s: float | None):
+    """Raise :class:`CellTimeout` in this worker after ``timeout_s``."""
+    use_alarm = timeout_s is not None and hasattr(signal, "SIGALRM")
+    if use_alarm:
+        signal.signal(signal.SIGALRM, _alarm_handler)
+        signal.alarm(max(1, int(timeout_s)))
+    try:
+        yield
+    finally:
+        if use_alarm:
+            signal.alarm(0)
+
+
+def cell_payload(cell: Cell, timeout_s: float | None) -> dict | None:
+    """Serialize one cell for the pool, or None if it cannot cross the
+    process boundary (an unpicklable workload instance)."""
+    payload = {
         "workload": cell.workload,  # name, or pickled Workload instance
         "config": config_to_dict(cell.config),
         "scale": cell.scale,
         "verify": cell.verify,
         "seed": cell.seed,
         "timeout_s": timeout_s,
-        "label": cell.display,
     }
-
-
-def _run_payload(payload: dict) -> dict:
-    """Worker entry point: rebuild, simulate, return a result dict."""
-    timeout_s = payload.get("timeout_s")
-    use_alarm = timeout_s is not None and hasattr(signal, "SIGALRM")
-    if use_alarm:
-        signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.alarm(max(1, int(timeout_s)))
     try:
-        from repro.system.builder import build_system
-        from repro.system.serialize import result_to_dict
-        from repro.workloads.registry import get_workload
+        pickle.dumps(payload)
+    except Exception:
+        return None
+    return payload
 
-        config = config_from_dict(payload["config"])
-        workload = payload["workload"]
-        if isinstance(workload, str):
-            workload = get_workload(workload)
-        system = build_system(config)
-        result = system.run_workload(
-            workload,
-            seed=payload["seed"],
-            scale=payload["scale"],
-            verify=payload["verify"],
-        )
-        return result_to_dict(result)
-    finally:
-        if use_alarm:
-            signal.alarm(0)
+
+def cell_worker(payload: dict) -> dict:
+    """Worker entry point: rebuild, simulate, return a result dict."""
+    from repro.system.serialize import result_to_dict
+
+    cell = Cell(
+        workload=payload["workload"],
+        config=config_from_dict(payload["config"]),
+        scale=payload["scale"],
+        verify=payload["verify"],
+        seed=payload["seed"],
+    )
+    with _alarm(payload.get("timeout_s")):
+        return result_to_dict(run_cell_inline(cell))
 
 
 def run_cell_inline(cell: Cell) -> SimulationResult:
@@ -109,46 +115,6 @@ def run_cell_inline(cell: Cell) -> SimulationResult:
     system = build_system(cell.config)
     return system.run_workload(
         workload, seed=cell.seed, scale=cell.scale, verify=cell.verify
-    )
-
-
-def _picklable(payload: dict) -> bool:
-    try:
-        pickle.dumps(payload)
-        return True
-    except Exception:
-        return False
-
-
-def run_cells(
-    cells: Sequence[Cell],
-    jobs: int | None = None,
-    cache=None,
-    timeout_s: float | None = None,
-    retries: int = DEFAULT_RETRIES,
-    progress: Callable[[str], None] | None = None,
-    store=None,
-    serve=None,
-) -> list[SimulationResult]:
-    """Run every cell, in input order, returning one result per cell.
-
-    A thin client of the results store: ``store`` (a
-    :class:`repro.store.ResultStore`) or ``cache`` (the legacy file
-    :class:`ResultCache` — both expose the same backend surface) serves
-    warm cells without simulating, ``serve`` routes execution to a running
-    ``repro serve`` daemon, and the rest fans out over ``jobs`` local
-    workers.  Identical duplicate cells are simulated once.
-    """
-    from repro.store.resolve import resolve_cells
-
-    return resolve_cells(
-        cells,
-        store=store if store is not None else cache,
-        jobs=jobs,
-        timeout_s=timeout_s,
-        retries=retries,
-        progress=progress,
-        serve=serve,
     )
 
 
@@ -230,32 +196,6 @@ def pool_map(
                     emit(f"[runner] {done}/{total} {label}: simulated on pool")
 
 
-def run_pool(
-    cells: Sequence[Cell],
-    pending: Sequence[int],
-    results: list,
-    jobs: int,
-    timeout_s: float | None,
-    retries: int,
-    emit: Callable[[str], None],
-) -> None:
-    """Fan ``pending`` out over a process pool with retry on crash/timeout."""
-    payloads = {index: _cell_payload(cells[index], timeout_s) for index in pending}
-    # Unpicklable workload instances cannot cross the process boundary;
-    # run them inline rather than poisoning the pool.
-    queue = []
-    for index in pending:
-        if _picklable(payloads[index]):
-            queue.append(index)
-        else:
-            emit(f"[runner] {cells[index].display}: not picklable, running inline")
-            results[index] = run_cell_inline(cells[index])
-
-    labels = {index: cells[index].display for index in queue}
-    pool_map(_run_payload, payloads, labels, queue, results,
-             result_from_dict, jobs, timeout_s, retries, emit)
-
-
 # -- litmus fan-out -------------------------------------------------------------
 #
 # The litmus analogue of the cell worker: a (test, policy, schedule)
@@ -293,23 +233,18 @@ def litmus_payload(test, policy_name: str, schedule, max_events: int,
     }
 
 
-def _run_litmus_payload(payload: dict) -> dict:
+def litmus_worker(payload: dict) -> dict:
     """Worker entry point: rebuild the litmus run, execute, return a dict."""
-    timeout_s = payload.get("timeout_s")
-    use_alarm = timeout_s is not None and hasattr(signal, "SIGALRM")
-    if use_alarm:
-        signal.signal(signal.SIGALRM, _alarm_handler)
-        signal.alarm(max(1, int(timeout_s)))
-    try:
-        from repro.verify.litmus.dsl import LitmusTest
-        from repro.verify.litmus.harness import outcome_to_dict, run_litmus
-        from repro.verify.litmus.schedule import Schedule
+    from repro.verify.litmus.dsl import LitmusTest
+    from repro.verify.litmus.harness import outcome_to_dict, run_litmus
+    from repro.verify.litmus.schedule import Schedule
 
-        test = LitmusTest.from_json(payload["test"])
-        if payload.get("registry_postcondition"):
-            from repro.verify.litmus.registry import get_litmus
+    test = LitmusTest.from_json(payload["test"])
+    if payload.get("registry_postcondition"):
+        from repro.verify.litmus.registry import get_litmus
 
-            test = get_litmus(test.name)
+        test = get_litmus(test.name)
+    with _alarm(payload.get("timeout_s")):
         outcome = run_litmus(
             test,
             policy_name=payload["policy"],
@@ -317,48 +252,7 @@ def _run_litmus_payload(payload: dict) -> dict:
             max_events=payload["max_events"],
             coverage=payload["coverage"],
         )
-        return outcome_to_dict(outcome)
-    finally:
-        if use_alarm:
-            signal.alarm(0)
-
-
-def run_litmus_pool(
-    runs: Sequence[tuple],
-    pending: Sequence[int],
-    results: list,
-    jobs: int,
-    timeout_s: float | None,
-    retries: int,
-    emit: Callable[[str], None],
-    max_events: int,
-    coverage: bool,
-) -> None:
-    """Fan pending ``(test, policy_name, schedule)`` runs out over a pool."""
-    from repro.verify.litmus.harness import outcome_from_dict, run_litmus
-
-    payloads = {}
-    labels = {}
-    queue = []
-    for index in pending:
-        test, policy_name, schedule = runs[index]
-        label = litmus_run_label(test, policy_name, schedule)
-        payload = litmus_payload(test, policy_name, schedule, max_events,
-                                 coverage, timeout_s)
-        if payload is None:
-            emit(f"[runner] {label}: postcondition cannot cross the pool, "
-                 "running inline")
-            results[index] = run_litmus(
-                test, policy_name=policy_name, schedule=schedule,
-                max_events=max_events, coverage=coverage,
-            )
-            continue
-        payloads[index] = payload
-        labels[index] = label
-        queue.append(index)
-
-    pool_map(_run_litmus_payload, payloads, labels, queue, results,
-             outcome_from_dict, jobs, timeout_s, retries, emit)
+    return outcome_to_dict(outcome)
 
 
 def default_progress(line: str) -> None:

@@ -305,9 +305,6 @@ class Network(Component):
     def endpoints_of_kind(self, kind: str) -> list[str]:
         return [name for name, k in self._kinds.items() if k == kind]
 
-    def kind_of(self, name: str) -> str:
-        return self._kinds[name]
-
     def kinds(self) -> list[str]:
         """Every endpoint kind currently attached, sorted."""
         return sorted(set(self._kinds.values()))

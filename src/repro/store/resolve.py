@@ -1,123 +1,227 @@
-"""``resolve_cells`` — the one entry point for turning cells into results.
+"""``resolve_cells`` / ``resolve_litmus`` — turning work items into results.
 
-Every consumer (figures, sweeps, benchmarks, the litmus fan-out, the CLI)
-resolves cells here instead of carrying private caching logic.  For each
-cell, in order of preference:
+Every consumer (figures, sweeps, benchmarks, the litmus fan-out, the fuzz
+campaign, the CLI) resolves its items here instead of carrying private
+caching logic.  Both entry points run the same loop over a small per-kind
+description (:class:`_Kind`):
 
-1. **store lookup** — any backend exposing ``get(key)`` / ``put(key,
-   cell, result)`` (:class:`repro.store.ResultStore` or the legacy
-   :class:`repro.runner.cache.ResultCache`) answers warm cells without
-   simulating;
-2. **in-flight dedup** — identical cells in one batch are simulated once;
-3. **serve daemon** — with ``serve=`` (or ``$REPRO_SERVE``) set,
-   registry-name cells are resolved by the always-on ``repro serve``
-   daemon, which shards them over its persistent worker pool and dedups
-   identical in-flight cells across *all* clients;
-4. **local execution** — the remainder runs on a local process pool
-   (``jobs>1``) or inline, exactly as before.
+1. **store lookup** — a :class:`repro.store.ResultStore` answers warm
+   items without simulating;
+2. **in-batch dedup** — items with the same content-addressed key are
+   simulated once, with or without a store;
+3. **execution** — the rest runs inline (``jobs=1`` or a single item) or
+   on a local process pool; an item whose payload cannot cross the
+   process boundary runs inline instead;
+4. **store put** — every fresh result is written back.
 
-All four paths are bit-identical: results round-trip exactly through
-:mod:`repro.system.serialize` and the simulator is deterministic.
+Results round-trip exactly through :mod:`repro.system.serialize`, and the
+simulator is deterministic, so every path is bit-identical.
+
+The executor, key and harness functions are looked up on their modules at
+call time, so a patched binding (tracing, test tripwires) is the one run.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Protocol, Sequence
+import dataclasses
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from repro.runner.cache import cell_key
+from repro.runner import executor
 from repro.runner.cells import Cell
+from repro.store.keys import cell_key
+from repro.store.store import KIND_LITMUS
 from repro.system.apu import SimulationResult
-
-#: environment variable naming a running serve daemon (host:port)
-SERVE_ENV = "REPRO_SERVE"
+from repro.system.serialize import policy_to_dict
 
 
-class ResultBackend(Protocol):
-    """What ``resolve_cells`` needs from a store: the shared surface of
-    :class:`ResultStore` and the legacy :class:`ResultCache`."""
+@dataclass(frozen=True)
+class _Kind:
+    """How one kind of item is keyed, stored, run and labelled."""
 
-    def get(self, key: str) -> SimulationResult | None: ...
-    def put(self, key: str, cell: Cell, result: SimulationResult) -> None: ...
+    #: content-addressed key of an item
+    key: Callable[[object], str]
+    #: stored result for ``(store, key)``, or None on a miss
+    lookup: Callable[[object, str], object | None]
+    #: persist ``(store, key, item, result)``
+    put: Callable[[object, str, object, object], None]
+    #: serial runner: ``(items, pending, results, emit)``
+    run_inline: Callable[[Sequence, Sequence[int], list, Callable], None]
+    #: pool payload for ``(item, timeout_s)``, or None to run it inline
+    payload: Callable[[object, float | None], dict | None]
+    #: pool worker entry point (module-level, so it pickles)
+    worker: Callable[[dict], dict]
+    #: worker answer -> result
+    decode: Callable[[dict], object]
+    #: progress label of an item
+    label: Callable[[object], str]
 
 
-def _serve_client(serve):
-    """Normalize the ``serve`` argument into a client, or None."""
-    if serve is None:
-        serve = os.environ.get(SERVE_ENV) or None
-    if serve is None or serve == "":
-        return None
-    if isinstance(serve, str):
-        from repro.serve.client import ServeClient
+def _resolve(
+    kind: _Kind,
+    items: Sequence,
+    store,
+    jobs: int | None,
+    timeout_s: float | None,
+    retries: int | None,
+    emit: Callable[[str], None],
+) -> list:
+    """The one resolution loop: lookup, dedup, execute, put, copy."""
+    total = len(items)
+    results: list = [None] * total
+    keys = [kind.key(item) for item in items]
 
-        return ServeClient(serve)
-    return serve  # already a client
+    pending: list[int] = []
+    first_by_key: dict[str, int] = {}
+    duplicates: list[tuple[int, int]] = []
+    for index, key in enumerate(keys):
+        if store is not None:
+            stored = kind.lookup(store, key)
+            if stored is not None:
+                results[index] = stored
+                emit(f"[runner] {index + 1}/{total} "
+                     f"{kind.label(items[index])}: store hit")
+                continue
+        if key in first_by_key:
+            duplicates.append((index, first_by_key[key]))
+            continue
+        first_by_key[key] = index
+        pending.append(index)
+
+    if pending:
+        _execute(kind, items, pending, results, executor.effective_jobs(jobs),
+                 timeout_s,
+                 executor.DEFAULT_RETRIES if retries is None else retries,
+                 emit)
+
+    if store is not None:
+        for index in pending:
+            kind.put(store, keys[index], items[index], results[index])
+
+    for index, source in duplicates:
+        results[index] = results[source]
+    return results
+
+
+def _execute(
+    kind: _Kind,
+    items: Sequence,
+    pending: list[int],
+    results: list,
+    jobs: int,
+    timeout_s: float | None,
+    retries: int,
+    emit: Callable[[str], None],
+) -> None:
+    """Run ``pending`` inline, or over a pool with retry on crash/timeout."""
+    if jobs <= 1 or len(pending) == 1:
+        kind.run_inline(items, pending, results, emit)
+        return
+    payloads: dict[int, dict] = {}
+    for index in pending:
+        payload = kind.payload(items[index], timeout_s)
+        if payload is None:
+            emit(f"[runner] {kind.label(items[index])}: cannot cross the "
+                 "process boundary, running inline")
+            kind.run_inline(items, [index], results, emit)
+        else:
+            payloads[index] = payload
+    labels = {index: kind.label(items[index]) for index in payloads}
+    executor.pool_map(kind.worker, payloads, labels, list(payloads), results,
+                      kind.decode, jobs, timeout_s, retries, emit)
+
+
+# -- cells ----------------------------------------------------------------------
+
+
+_CELLS = _Kind(
+    key=lambda cell: cell_key(cell),
+    lookup=lambda store, key: store.get(key),
+    put=lambda store, key, cell, result: store.put(key, cell, result),
+    run_inline=lambda *args: executor.run_inline(*args),
+    payload=lambda cell, timeout_s: executor.cell_payload(cell, timeout_s),
+    worker=executor.cell_worker,
+    decode=lambda data: executor.result_from_dict(data),
+    label=lambda cell: cell.display,
+)
 
 
 def resolve_cells(
     cells: Sequence[Cell],
-    store: ResultBackend | None = None,
+    store=None,
     jobs: int | None = None,
     timeout_s: float | None = None,
     retries: int | None = None,
     progress: Callable[[str], None] | None = None,
-    serve=None,
 ) -> list[SimulationResult]:
     """Resolve every cell, in input order, returning one result per cell.
 
-    ``store`` serves warm cells and receives every fresh result;
-    ``serve`` (an address string, a :class:`ServeClient`, or the
-    ``$REPRO_SERVE`` environment variable) routes simulation to a running
-    daemon; everything else falls back to the local pool.
+    ``store`` (a :class:`repro.store.ResultStore`) serves warm cells and
+    receives every fresh result; identical cells in one batch simulate
+    once; the rest fans out over ``jobs`` local workers.
     """
-    from repro.runner import executor
+    return _resolve(_CELLS, cells, store, jobs, timeout_s, retries,
+                    progress or (lambda line: None))
 
-    if retries is None:
-        retries = executor.DEFAULT_RETRIES
-    emit = progress or (lambda line: None)
-    total = len(cells)
-    results: list[SimulationResult | None] = [None] * total
-    keys = [cell_key(cell) if store is not None else None for cell in cells]
 
-    pending: list[int] = []
-    seen_keys: dict[str, int] = {}
-    duplicates: list[tuple[int, int]] = []
-    for index, cell in enumerate(cells):
-        key = keys[index]
-        if store is not None:
-            cached = store.get(key)
-            if cached is not None:
-                results[index] = cached
-                emit(f"[runner] {index + 1}/{total} {cell.display}: store hit")
-                continue
-            if key in seen_keys:
-                duplicates.append((index, seen_keys[key]))
-                continue
-            seen_keys[key] = index
-        pending.append(index)
+# -- litmus runs ----------------------------------------------------------------
 
-    served: set[int] = set()
-    client = _serve_client(serve) if pending else None
-    if client is not None:
-        served = _resolve_served(cells, pending, results, client, emit,
-                                 timeout_s)
-        pending = [index for index in pending if index not in served]
 
-    if pending:
-        jobs = executor.effective_jobs(jobs)
-        if jobs <= 1 or len(pending) == 1:
-            executor.run_inline(cells, pending, results, emit)
-        else:
-            executor.run_pool(cells, pending, results, jobs, timeout_s,
-                              retries, emit)
+def _litmus_kind(max_events: int, coverage: bool, mutate_system) -> _Kind:
+    """The :class:`_Kind` of ``(test, policy_name, schedule)`` triples."""
+    from repro.verify.litmus import harness
 
-    if store is not None:
-        for index in sorted(set(pending) | served):
-            store.put(keys[index], cells[index], results[index])
+    def key(run) -> str:
+        test, policy_name, schedule = run
+        return harness.litmus_key(test, harness.POLICY_VARIANTS[policy_name],
+                                  schedule, max_events, coverage)
 
-    for index, source in duplicates:
-        results[index] = results[source]
-    return results  # type: ignore[return-value]
+    def lookup(store, key: str):
+        row = store.get_row(key, KIND_LITMUS)
+        if row is None:
+            return None
+        try:
+            return harness.outcome_from_dict(row)
+        except (KeyError, ValueError, TypeError):
+            return None  # unreadable payload: re-run
+
+    def put(store, key: str, run, outcome) -> None:
+        test, policy_name, schedule = run
+        store.put_row(
+            key, KIND_LITMUS,
+            workload=test.name,
+            config={"policy": policy_to_dict(harness.POLICY_VARIANTS[policy_name]),
+                    "schedule": schedule.to_json(),
+                    "max_events": max_events},
+            result=harness.outcome_to_dict(outcome),
+            verify=True,
+            seed=schedule.seed,
+        )
+
+    def run_inline(runs, pending, results, emit) -> None:
+        for position, index in enumerate(pending):
+            test, policy_name, schedule = runs[index]
+            results[index] = harness.run_litmus(
+                test, policy_name=policy_name, schedule=schedule,
+                max_events=max_events, coverage=coverage,
+                mutate_system=mutate_system,
+            )
+            emit(f"[runner] {position + 1}/{len(pending)} "
+                 f"{executor.litmus_run_label(*runs[index])}: simulated inline")
+
+    def payload(run, timeout_s):
+        return executor.litmus_payload(*run, max_events, coverage, timeout_s)
+
+    return _Kind(
+        key=key,
+        lookup=lookup,
+        put=put,
+        run_inline=run_inline,
+        payload=payload,
+        worker=executor.litmus_worker,
+        decode=lambda data: harness.outcome_from_dict(data),
+        label=lambda run: executor.litmus_run_label(*run),
+    )
 
 
 def resolve_litmus(
@@ -144,137 +248,25 @@ def resolve_litmus(
     store bypassed — mutation hooks are closures that neither cross the
     process boundary nor belong in content-addressed rows.
     """
-    import dataclasses
-
-    from repro.runner import executor
-    from repro.store import KIND_LITMUS
-    from repro.verify.litmus.harness import (
-        LITMUS_MAX_EVENTS,
-        POLICY_VARIANTS,
-        litmus_key,
-        outcome_from_dict,
-        outcome_to_dict,
-        run_litmus,
-    )
+    from repro.verify.litmus import harness
 
     if max_events is None:
-        max_events = LITMUS_MAX_EVENTS
-    if retries is None:
-        retries = executor.DEFAULT_RETRIES
+        max_events = harness.LITMUS_MAX_EVENTS
     emit = progress or (lambda line: None)
-    total = len(runs)
-    results: list = [None] * total
 
+    kind = _litmus_kind(max_events, coverage, mutate_system)
     if mutate_system is not None:
-        for index, (test, policy_name, schedule) in enumerate(runs):
-            results[index] = run_litmus(
-                test, policy_name=policy_name, schedule=schedule,
-                max_events=max_events, coverage=coverage,
-                mutate_system=mutate_system,
-            )
-            label = executor.litmus_run_label(test, policy_name, schedule)
-            emit(f"[runner] {index + 1}/{total} {label}: simulated inline "
-                 "(fault injection)")
+        results = [None] * len(runs)
+        kind.run_inline(runs, range(len(runs)), results, emit)
         return results
-
-    keys = [
-        litmus_key(test, POLICY_VARIANTS[policy_name], schedule,
-                   max_events, coverage)
-        for test, policy_name, schedule in runs
+    results = _resolve(kind, runs, store, jobs, timeout_s, retries, emit)
+    # Two policy *names* can map to one key (one policy dict): share the
+    # data, but report the name each caller asked for.
+    return [
+        outcome if outcome.policy == policy_name
+        else dataclasses.replace(outcome, policy=policy_name)
+        for outcome, (_test, policy_name, _schedule) in zip(results, runs)
     ]
 
-    pending: list[int] = []
-    seen_keys: dict[str, int] = {}
-    duplicates: list[tuple[int, int]] = []
-    for index, (test, policy_name, schedule) in enumerate(runs):
-        key = keys[index]
-        if store is not None:
-            row = store.get_row(key, KIND_LITMUS)
-            if row is not None:
-                try:
-                    stored = outcome_from_dict(row)
-                except (KeyError, ValueError, TypeError):
-                    pass  # unreadable payload: fall through and re-run
-                else:
-                    stored.policy = policy_name
-                    results[index] = stored
-                    label = executor.litmus_run_label(
-                        test, policy_name, schedule
-                    )
-                    emit(f"[runner] {index + 1}/{total} {label}: store hit")
-                    continue
-        if key in seen_keys:
-            duplicates.append((index, seen_keys[key]))
-            continue
-        seen_keys[key] = index
-        pending.append(index)
 
-    if pending:
-        jobs = executor.effective_jobs(jobs)
-        if jobs <= 1 or len(pending) == 1:
-            for position, index in enumerate(pending):
-                test, policy_name, schedule = runs[index]
-                results[index] = run_litmus(
-                    test, policy_name=policy_name, schedule=schedule,
-                    max_events=max_events, coverage=coverage,
-                )
-                label = executor.litmus_run_label(test, policy_name, schedule)
-                emit(f"[runner] {position + 1}/{len(pending)} {label}: "
-                     "simulated inline")
-        else:
-            executor.run_litmus_pool(
-                runs, pending, results, jobs, timeout_s, retries, emit,
-                max_events=max_events, coverage=coverage,
-            )
-
-    if store is not None:
-        from repro.system.serialize import policy_to_dict
-
-        for index in pending:
-            test, policy_name, schedule = runs[index]
-            store.put_row(
-                keys[index], KIND_LITMUS,
-                workload=test.name,
-                config={"policy": policy_to_dict(POLICY_VARIANTS[policy_name]),
-                        "schedule": schedule.to_json(),
-                        "max_events": max_events},
-                result=outcome_to_dict(results[index]),
-                verify=True,
-                seed=schedule.seed,
-            )
-
-    for index, source in duplicates:
-        # Same key, possibly a different policy *name* (two names can map
-        # to one policy dict): share the data, fix the label.
-        results[index] = dataclasses.replace(
-            results[source], policy=runs[index][1]
-        )
-    return results
-
-
-def _resolve_served(
-    cells: Sequence[Cell],
-    pending: Sequence[int],
-    results: list,
-    client,
-    emit: Callable[[str], None],
-    timeout_s: float | None,
-) -> set[int]:
-    """Resolve what the daemon can take (registry-name workloads); on any
-    transport failure fall back to local execution for everything."""
-    eligible = [i for i in pending if isinstance(cells[i].workload, str)]
-    if not eligible:
-        return set()
-    try:
-        answers = client.resolve(
-            [cells[i] for i in eligible], progress=emit, timeout_s=timeout_s
-        )
-    except (OSError, ValueError) as exc:
-        emit(f"[runner] serve daemon unavailable ({exc}); running locally")
-        return set()
-    for index, result in zip(eligible, answers):
-        results[index] = result
-    return set(eligible)
-
-
-__all__ = ["ResultBackend", "resolve_cells", "resolve_litmus", "SERVE_ENV"]
+__all__ = ["resolve_cells", "resolve_litmus"]

@@ -1,19 +1,19 @@
 """SQLite-backed persistent result store.
 
 The store is the single source of truth for simulation results: every
-producer (parallel runner, serve daemon, litmus harness) inserts rows and
-every consumer (figures, sweeps, benchmarks, CI) answers cell queries
-from it.  Rows are keyed by the same content-addressed
-:func:`repro.runner.cache.cell_key` the file cache used — the full
-config, the workload identity, the run parameters, and a digest of the
-``repro`` sources — so a hit is bit-identical to a re-run by
-construction and any code change invalidates stale rows (they simply
-never match again; ``gc`` reclaims them).
+producer (parallel runner, litmus harness, fuzz campaign) inserts rows
+and every consumer (figures, sweeps, benchmarks, CI) answers queries
+from it.  Rows are keyed by the content-addressed
+:func:`repro.store.keys.cell_key` — the full config, the workload
+identity, the run parameters, and a digest of the ``repro`` sources — so
+a hit is bit-identical to a re-run by construction and any code change
+invalidates stale rows (they simply never match again; ``gc`` reclaims
+them).
 
-Compared to the loose ``.repro_cache/`` JSON files the store adds:
+The store provides:
 
-- one queryable database instead of thousands of files (``stats``,
-  ``gc``, ``export``/``import`` of committable snapshots);
+- one queryable database (``stats``, ``gc``, ``export``/``import`` of
+  committable snapshots);
 - atomic, crash-safe writes (SQLite transactions — a reader racing a
   writer sees the old or the new complete row, never a torn one);
 - corrupt-row tolerance: an unparsable row is evicted and counted as a
@@ -34,8 +34,8 @@ import sqlite3
 import threading
 import time
 
-from repro.runner.cache import CACHE_VERSION, cell_key, source_digest, workload_token
 from repro.runner.cells import Cell
+from repro.store.keys import CACHE_VERSION, source_digest, workload_token
 from repro.system.apu import SimulationResult
 from repro.system.serialize import config_to_dict, result_from_dict, result_to_dict
 
@@ -70,12 +70,11 @@ def default_store_path() -> pathlib.Path:
 
 
 class ResultStore:
-    """Persistent result store; drop-in backend for :func:`resolve_cells`.
+    """Persistent result store behind :func:`resolve_cells`.
 
-    Exposes the same ``get(key)`` / ``put(key, cell, result)`` surface as
-    the legacy :class:`repro.runner.cache.ResultCache`, plus generic
-    ``get_row`` / ``put_row`` for non-cell payloads (litmus outcomes) and
-    the admin operations behind ``repro store``.
+    ``get(key)`` / ``put(key, cell, result)`` hold simulation cells;
+    generic ``get_row`` / ``put_row`` hold other payloads (litmus
+    outcomes); the admin operations back ``repro store``.
     """
 
     def __init__(self, path: str | os.PathLike | None = None,
@@ -169,7 +168,7 @@ class ResultStore:
             self.hits += 1
             return payload
 
-    # -- the cell backend protocol (shared with ResultCache) -------------
+    # -- cells ------------------------------------------------------------
 
     def get(self, key: str) -> SimulationResult | None:
         payload = self.get_row(key, KIND_CELL)
@@ -334,42 +333,6 @@ class ResultStore:
                     continue
         return count
 
-    def migrate_cache(self, cache_root: str | os.PathLike) -> int:
-        """Absorb a legacy ``.repro_cache/`` file tree into the store.
-
-        Each cache file carries its own key and full metadata, so rows
-        migrate losslessly; unreadable files are skipped.  Returns the
-        number of entries imported.
-        """
-        root = pathlib.Path(cache_root)
-        if not root.exists():
-            return 0
-        count = 0
-        for file in sorted(root.rglob("*.json")):
-            try:
-                data = json.loads(file.read_text())
-                key = data["key"]
-                result = data["result"]
-                if not isinstance(key, str) or not isinstance(result, dict):
-                    continue
-            except (OSError, ValueError, TypeError, KeyError):
-                continue
-            self.put_row(
-                key, KIND_CELL,
-                workload=str(data.get("workload", "?")),
-                config=data.get("config", {}),
-                result=result,
-                scale=data.get("scale", 1.0),
-                verify=data.get("verify", False),
-                seed=data.get("seed", 0),
-                # legacy entries embedded the digest in the key, not the
-                # payload; keys still match while the sources do, so mark
-                # the row fresh only if its key is reachable today
-                source=source_digest(),
-            )
-            count += 1
-        return count
-
     def __repr__(self) -> str:
         return (
             f"ResultStore({str(self.path)!r}, enabled={self.enabled}, "
@@ -382,6 +345,5 @@ __all__ = [
     "KIND_CELL",
     "KIND_LITMUS",
     "ResultStore",
-    "cell_key",
     "default_store_path",
 ]

@@ -7,8 +7,9 @@ so re-running a campaign can only ever re-create identical files — which
 makes ``corpus_digest`` (the hash of the sorted entry digests) the one
 number the determinism regression pins.
 
-Minimization reuses the litmus ddmin machinery, but with coverage as the
-predicate instead of failure: ops are dropped while the shrunk program
+Minimization reuses the litmus shrinker
+(:func:`repro.verify.litmus.minimize.shrink_agents`), but with coverage
+as the predicate instead of failure: ops are dropped while the shrunk program
 still fires every row the entry claimed, so corpus entries stay small
 without losing the coverage they exist to witness.
 """
@@ -21,7 +22,7 @@ import os
 
 from repro.verify.litmus.dsl import LitmusTest
 from repro.verify.litmus.harness import run_litmus
-from repro.verify.litmus.minimize import _Budget, _ddmin
+from repro.verify.litmus.minimize import _Budget, shrink_agents
 from repro.verify.litmus.schedule import Schedule
 
 ENTRY_FORMAT = "repro-fuzz-corpus/1"
@@ -159,102 +160,15 @@ def minimize_entry(entry: CorpusEntry, max_runs: int = 200) -> CorpusEntry:
     are what we keep.  Returns a (possibly identical) new entry.
     """
     claimed = set(entry.new_coverage)
-    test = entry.litmus()
     schedule = entry.schedule_obj()
     policy = entry.policy
-    budget = _Budget(max_runs)
 
     def still_covers(candidate: LitmusTest) -> bool:
-        if not (candidate.threads or candidate.gpu_waves or candidate.dma):
-            return False
         outcome = run_litmus(
             candidate, policy_name=policy, schedule=schedule, coverage=True,
         )
         return claimed <= set(outcome.coverage or ())
 
-    current = test
-    # level 1: drop whole agents (same structure as failure minimization)
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(current.threads)):
-            if not current.threads[index]:
-                continue
-            threads = [list(s) for s in current.threads]
-            threads[index] = []
-            candidate = current.with_agents(
-                threads, current.gpu_waves, current.dma
-            )
-            if budget.take() and still_covers(candidate):
-                current = candidate
-                changed = True
-        for index in range(len(current.gpu_waves)):
-            waves = [list(s) for s in current.gpu_waves]
-            del waves[index]
-            candidate = current.with_agents(current.threads, waves, current.dma)
-            if budget.take() and still_covers(candidate):
-                current = candidate
-                changed = True
-                break  # indices shifted; restart the wave scan
-        for index in range(len(current.dma)):
-            dma = list(current.dma)
-            del dma[index]
-            candidate = current.with_agents(
-                current.threads, current.gpu_waves, dma
-            )
-            if budget.take() and still_covers(candidate):
-                current = candidate
-                changed = True
-                break
-
-    # level 2: ddmin each surviving agent's op list
-    for index in range(len(current.threads)):
-        if not current.threads[index]:
-            continue
-
-        def covers_with(ops_list: list, slot: int = index) -> bool:
-            threads = [list(s) for s in current.threads]
-            threads[slot] = list(ops_list)
-            return still_covers(
-                current.with_agents(threads, current.gpu_waves, current.dma)
-            )
-
-        shrunk = _ddmin(list(current.threads[index]), covers_with, budget)
-        threads = [list(s) for s in current.threads]
-        threads[index] = shrunk
-        current = current.with_agents(threads, current.gpu_waves, current.dma)
-    for index in range(len(current.gpu_waves)):
-
-        def covers_with(ops_list: list, slot: int = index) -> bool:
-            waves = [list(s) for s in current.gpu_waves]
-            waves[slot] = list(ops_list)
-            return still_covers(
-                current.with_agents(current.threads, waves, current.dma)
-            )
-
-        shrunk = _ddmin(list(current.gpu_waves[index]), covers_with, budget)
-        waves = [list(s) for s in current.gpu_waves]
-        waves[index] = shrunk
-        current = current.with_agents(current.threads, waves, current.dma)
-
-    # Cosmetic cleanup — but agent *count* is part of the schedule (it
-    # shifts every downstream tie-break), so stripping empty slots can
-    # lose the claimed rows.  Only adopt the stripped form if it still
-    # covers them; otherwise ship the validated shape, empty slots and all.
-    stripped = current.with_agents(
-        _rstrip_empty_threads(current.threads),
-        [wave for wave in current.gpu_waves if wave],
-        current.dma,
-    )
-    if (stripped.to_json() != current.to_json()
-            and budget.take() and still_covers(stripped)):
-        current = stripped
+    current = shrink_agents(entry.litmus(), still_covers, _Budget(max_runs))
     return CorpusEntry.make(current, schedule, policy, claimed,
                             entry.seed, entry.iteration)
-
-
-def _rstrip_empty_threads(threads: list[list]) -> list[list]:
-    out = [list(script) for script in threads]
-    while out and not out[-1]:
-        out.pop()
-    return out

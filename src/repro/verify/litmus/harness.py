@@ -129,12 +129,12 @@ def litmus_key(test: LitmusTest, policy: DirectoryPolicy,
                coverage: bool = False) -> str:
     """Content-addressed key for one (litmus, policy, schedule) triple.
 
-    Mirrors :func:`repro.runner.cache.cell_key`: everything determining
+    Mirrors :func:`repro.store.keys.cell_key`: everything determining
     the outcome — the serialized test, the full policy, the schedule
     knobs, the event backstop, and the source digest — so code changes
     invalidate stored outcomes the same way they invalidate cells.
     """
-    from repro.runner.cache import CACHE_VERSION, source_digest
+    from repro.store.keys import CACHE_VERSION, source_digest
     from repro.system.serialize import policy_to_dict
 
     payload = {

@@ -9,6 +9,9 @@ order of payoff:
 3. **schedule** — drop the jitter / tie-break knobs if the failure
    reproduces on a simpler (ideally canonical) schedule.
 
+Levels 1 and 2 are :func:`shrink_agents`, which the fuzz corpus shares
+with a coverage predicate instead of a failure predicate.
+
 Every candidate is re-run with :func:`~repro.verify.litmus.harness.run_litmus`
 and accepted only if it fails with the *same failure kind* as the original
 — a shrink may not wander from an invariant violation to, say, the spin
@@ -116,6 +119,100 @@ def _ddmin(items: list, still_fails: Callable[[list], bool],
     return items
 
 
+def shrink_agents(test: LitmusTest, keeps: Callable[[LitmusTest], bool],
+                  budget: _Budget) -> LitmusTest:
+    """Levels 1 and 2: drop whole agents, then ddmin each agent's ops.
+
+    ``keeps`` is the property every accepted candidate must still have
+    (the same failure kind, or the same claimed coverage).  A candidate
+    left with no agent at all spends its budget unit and is rejected.
+    Finally, empty wave slots and trailing empty thread slots are
+    stripped — but agent count is itself a schedule input (it shifts
+    downstream tie-breaks), so the stripped form is adopted only if it
+    still ``keeps``.
+    """
+
+    def holds(candidate: LitmusTest) -> bool:
+        return (bool(candidate.threads or candidate.gpu_waves or candidate.dma)
+                and keeps(candidate))
+
+    current = test
+    # level 1: drop whole agents (empty thread slots keep core placement)
+    changed = True
+    while changed:
+        changed = False
+        for index in range(len(current.threads)):
+            if not current.threads[index]:
+                continue
+            threads = [list(s) for s in current.threads]
+            threads[index] = []
+            candidate = current.with_agents(
+                threads, current.gpu_waves, current.dma
+            )
+            if budget.take() and holds(candidate):
+                current = candidate
+                changed = True
+        for index in range(len(current.gpu_waves)):
+            waves = [list(s) for s in current.gpu_waves]
+            del waves[index]
+            candidate = current.with_agents(current.threads, waves, current.dma)
+            if budget.take() and holds(candidate):
+                current = candidate
+                changed = True
+                break  # indices shifted; restart the wave scan
+        for index in range(len(current.dma)):
+            dma = list(current.dma)
+            del dma[index]
+            candidate = current.with_agents(
+                current.threads, current.gpu_waves, dma
+            )
+            if budget.take() and holds(candidate):
+                current = candidate
+                changed = True
+                break
+
+    # level 2: ddmin each surviving agent's op list
+    for index in range(len(current.threads)):
+        if not current.threads[index]:
+            continue
+
+        def holds_with_thread(ops_list: list, slot: int = index) -> bool:
+            threads = [list(s) for s in current.threads]
+            threads[slot] = list(ops_list)
+            return holds(
+                current.with_agents(threads, current.gpu_waves, current.dma)
+            )
+
+        shrunk = _ddmin(list(current.threads[index]), holds_with_thread, budget)
+        threads = [list(s) for s in current.threads]
+        threads[index] = shrunk
+        current = current.with_agents(threads, current.gpu_waves, current.dma)
+    for index in range(len(current.gpu_waves)):
+
+        def holds_with_wave(ops_list: list, slot: int = index) -> bool:
+            waves = [list(s) for s in current.gpu_waves]
+            waves[slot] = list(ops_list)
+            return holds(
+                current.with_agents(current.threads, waves, current.dma)
+            )
+
+        shrunk = _ddmin(list(current.gpu_waves[index]), holds_with_wave, budget)
+        waves = [list(s) for s in current.gpu_waves]
+        waves[index] = shrunk
+        current = current.with_agents(current.threads, waves, current.dma)
+
+    threads = [list(script) for script in current.threads]
+    while threads and not threads[-1]:
+        threads.pop()
+    stripped = current.with_agents(
+        threads, [wave for wave in current.gpu_waves if wave], current.dma
+    )
+    if (stripped.to_json() != current.to_json()
+            and budget.take() and holds(stripped)):
+        current = stripped
+    return current
+
+
 def minimize_failure(
     test: LitmusTest,
     policy_name: str,
@@ -151,89 +248,7 @@ def minimize_failure(
         outcome = run(candidate)
         return outcome.failure_kind == kind
 
-    current = test
-
-    # level 1: drop whole agents (empty thread slots keep core placement)
-    changed = True
-    while changed:
-        changed = False
-        for index in range(len(current.threads)):
-            if not current.threads[index]:
-                continue
-            threads = [list(s) for s in current.threads]
-            threads[index] = []
-            candidate = current.with_agents(
-                threads, current.gpu_waves, current.dma
-            )
-            if budget.take() and fails(candidate):
-                current = candidate
-                changed = True
-        for index in range(len(current.gpu_waves)):
-            waves = [list(s) for s in current.gpu_waves]
-            del waves[index]
-            candidate = current.with_agents(current.threads, waves, current.dma)
-            if candidate.threads or candidate.gpu_waves or candidate.dma:
-                if budget.take() and fails(candidate):
-                    current = candidate
-                    changed = True
-                    break  # indices shifted; restart the wave scan
-        for index in range(len(current.dma)):
-            dma = list(current.dma)
-            del dma[index]
-            candidate = current.with_agents(
-                current.threads, current.gpu_waves, dma
-            )
-            if candidate.threads or candidate.gpu_waves or candidate.dma:
-                if budget.take() and fails(candidate):
-                    current = candidate
-                    changed = True
-                    break
-
-    # level 2: ddmin each surviving agent's op list
-    for index in range(len(current.threads)):
-        if not current.threads[index]:
-            continue
-
-        def fails_with(ops_list: list, slot: int = index) -> bool:
-            threads = [list(s) for s in current.threads]
-            threads[slot] = list(ops_list)
-            return fails(
-                current.with_agents(threads, current.gpu_waves, current.dma)
-            )
-
-        shrunk = _ddmin(list(current.threads[index]), fails_with, budget)
-        threads = [list(s) for s in current.threads]
-        threads[index] = shrunk
-        current = current.with_agents(threads, current.gpu_waves, current.dma)
-    for index in range(len(current.gpu_waves)):
-
-        def fails_with(ops_list: list, slot: int = index) -> bool:
-            waves = [list(s) for s in current.gpu_waves]
-            waves[slot] = list(ops_list)
-            candidate = current.with_agents(current.threads, waves, current.dma)
-            if not (candidate.threads or candidate.gpu_waves or candidate.dma):
-                return False
-            return fails(candidate)
-
-        shrunk = _ddmin(list(current.gpu_waves[index]), fails_with, budget)
-        waves = [list(s) for s in current.gpu_waves]
-        waves[index] = shrunk
-        current = current.with_agents(current.threads, waves, current.dma)
-    # drop now-empty waves / trailing empty threads — but agent count is
-    # itself a schedule input (it shifts downstream tie-breaks), so only
-    # adopt the stripped form if it still fails the same way
-    stripped = current.with_agents(
-        _rstrip_empty(current.threads),
-        [wave for wave in current.gpu_waves if wave],
-        current.dma,
-    )
-    if ((stripped.threads or stripped.gpu_waves or stripped.dma)
-            and stripped.to_json() != current.to_json()
-            and budget.take() and fails(stripped)):
-        current = stripped
-    # else: every op shrank away (the failure needs no agent at all, e.g. a
-    # broken init-state postcondition), the strip changed nothing, or the
-    # stripped shape no longer reproduces — keep the verified form
+    current = shrink_agents(test, fails, budget)
 
     # level 3: simplify the schedule
     final_schedule = schedule
@@ -270,13 +285,6 @@ def minimize_failure(
         runs=budget.used,
         trace_text=final.trace_text,
     )
-
-
-def _rstrip_empty(threads: list[list]) -> list[list]:
-    out = [list(script) for script in threads]
-    while out and not out[-1]:
-        out.pop()
-    return out
 
 
 def _simpler_schedules(schedule: Schedule) -> list[Schedule]:
@@ -373,5 +381,6 @@ __all__ = [
     "load_artifact",
     "minimize_failure",
     "replay_artifact",
+    "shrink_agents",
     "DmaSpec",
 ]

@@ -20,7 +20,7 @@ CPU-only ops: :class:`SpinUntil`, :class:`LaunchKernel`, :class:`WaitKernel`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.protocol.atomics import AtomicOp
@@ -168,15 +168,3 @@ class DmaTransfer:
             raise ValueError(f"bad DMA kind {self.kind!r}")
         if self.lines < 1:
             raise ValueError("DMA transfer needs at least one line")
-
-
-@dataclass
-class Program:
-    """A named generator factory: calling ``factory()`` yields ops."""
-
-    name: str
-    factory: Callable[[], object]
-    metadata: dict = field(default_factory=dict)
-
-    def instantiate(self):
-        return self.factory()

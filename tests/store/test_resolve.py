@@ -1,7 +1,7 @@
 """Tests for ``resolve_cells``: store-backed warm resolution, in-batch
-dedup, daemon fallback, and the acceptance criterion — a warm re-query of
-the full figure pipeline performs zero simulations and is bit-identical
-to a cold serial run."""
+dedup, and the acceptance criterion — a warm re-query of the full figure
+pipeline performs zero simulations and is bit-identical to a cold serial
+run."""
 
 from __future__ import annotations
 
@@ -40,6 +40,21 @@ class TestStoreResolution:
         assert store.puts == 1 and len(store) == 1
         assert results[0] == results[1] == results[2]
 
+    def test_duplicates_simulated_once_without_a_store(self, monkeypatch):
+        from repro.runner import executor
+
+        simulated = []
+        real = executor.run_cell_inline
+
+        def counting(cell):
+            simulated.append(cell)
+            return real(cell)
+
+        monkeypatch.setattr("repro.runner.executor.run_cell_inline", counting)
+        results = resolve_cells(cells_for(["bs", "bs", "bs"]), jobs=1)
+        assert len(simulated) == 1
+        assert results[0] == results[1] == results[2]
+
     def test_store_and_cacheless_runs_identical(self, tmp_path):
         batch = cells_for(["bs", "tq"])
         plain = resolve_cells(batch, jobs=1)
@@ -58,33 +73,12 @@ class TestStoreResolution:
 
         monkeypatch.setattr("repro.runner.executor.run_cell_inline", boom)
         monkeypatch.setattr("repro.runner.executor.run_inline", boom)
-        monkeypatch.setattr("repro.runner.executor.run_pool", boom)
+        monkeypatch.setattr("repro.runner.executor.pool_map", boom)
         warm_store = ResultStore(tmp_path / "s.sqlite")
         warm = resolve_cells(cells_for(["bs", "tq"]), store=warm_store,
                              jobs=2)
         assert warm_store.hits == 2 and warm_store.misses == 0
         assert warm == cold
-
-    def test_unreachable_daemon_falls_back_locally(self, tmp_path):
-        lines: list[str] = []
-        results = resolve_cells(
-            cells_for(["bs"]),
-            store=ResultStore(tmp_path / "s.sqlite"),
-            jobs=1,
-            serve="127.0.0.1:9",  # discard port: nothing listens
-            progress=lines.append,
-        )
-        assert results[0].ok
-        assert any("serve daemon unavailable" in line for line in lines)
-
-    def test_serve_env_is_picked_up(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE", "127.0.0.1:9")
-        lines: list[str] = []
-        results = resolve_cells(cells_for(["bs"]), jobs=1,
-                                store=ResultStore(tmp_path / "s.sqlite"),
-                                progress=lines.append)
-        assert results[0].ok
-        assert any("serve daemon unavailable" in line for line in lines)
 
 
 class TestFigurePipelineWarmRequery:
@@ -114,7 +108,7 @@ class TestFigurePipelineWarmRequery:
 
         monkeypatch.setattr("repro.runner.executor.run_cell_inline", boom)
         monkeypatch.setattr("repro.runner.executor.run_inline", boom)
-        monkeypatch.setattr("repro.runner.executor.run_pool", boom)
+        monkeypatch.setattr("repro.runner.executor.pool_map", boom)
         warm_store = ResultStore(tmp_path / "figures.sqlite")
         warm = ExperimentMatrix(
             config_factory=SystemConfig.small, scale=0.25, jobs=2,
@@ -168,7 +162,7 @@ class TestLitmusResolution:
             raise AssertionError("warm litmus rerun simulated")
 
         monkeypatch.setattr("repro.verify.litmus.harness.run_litmus", boom)
-        monkeypatch.setattr("repro.runner.executor.run_litmus_pool", boom)
+        monkeypatch.setattr("repro.runner.executor.pool_map", boom)
         warm_store = ResultStore(tmp_path / "s.sqlite")
         warm = resolve_litmus(self._runs(["mp", "coww"]), store=warm_store,
                               jobs=2, coverage=True)

@@ -123,9 +123,12 @@ class TestLitmusCommand:
 
 
 class TestBenchCommand:
-    def test_bench_cold_then_warm(self, tmp_path, capsys):
-        args = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "2",
-                "--cache-dir", str(tmp_path / "cache")]
+    """``repro figures`` with the store flags (the former ``bench``)."""
+
+    def test_bench_cold_then_warm(self, tmp_path, capsys, monkeypatch):
+        # the store is on by default, at $REPRO_STORE_PATH
+        monkeypatch.setenv("REPRO_STORE_PATH", str(tmp_path / "store.sqlite"))
+        args = ["figures", "--figure", "6", "--scale", "0.25", "--jobs", "2"]
         assert main(args) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out
@@ -137,9 +140,8 @@ class TestBenchCommand:
         assert "0 miss(es)" in warm
 
     def test_bench_clear_cache(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "cache")
-        base = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "1",
-                "--cache-dir", cache_dir]
+        base = ["figures", "--figure", "6", "--scale", "0.25", "--jobs", "1",
+                "--store-path", str(tmp_path / "store.sqlite")]
         assert main(base) == 0
         capsys.readouterr()
         assert main(base + ["--clear-cache"]) == 0
@@ -148,15 +150,24 @@ class TestBenchCommand:
         assert "miss(es)" in out and "0 miss(es)" not in out
 
     def test_bench_no_cache(self, tmp_path, capsys):
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
+        assert main(["figures", "--figure", "6", "--scale", "0.25",
                      "--jobs", "1", "--no-cache",
-                     "--cache-dir", str(tmp_path / "cache")]) == 0
+                     "--store-path", str(tmp_path / "store.sqlite")]) == 0
         out = capsys.readouterr().out
         assert "Figure 6" in out
-        assert not (tmp_path / "cache").exists()
+        assert not (tmp_path / "store.sqlite").exists()
+
+    def test_no_cache_summary_says_the_store_is_disabled(self, tmp_path,
+                                                          capsys):
+        assert main(["figures", "--figure", "6", "--scale", "0.25",
+                     "--jobs", "1", "--no-cache",
+                     "--store-path", str(tmp_path / "store.sqlite")]) == 0
+        out = capsys.readouterr().out
+        assert "store: disabled" in out
+        assert "miss(es)" not in out
 
     def test_bench_on_store_cold_then_warm(self, tmp_path, capsys):
-        args = ["bench", "--figure", "6", "--scale", "0.25", "--jobs", "2",
+        args = ["figures", "--figure", "6", "--scale", "0.25", "--jobs", "2",
                 "--store-path", str(tmp_path / "bench.sqlite")]
         assert main(args) == 0
         out = capsys.readouterr().out
@@ -168,10 +179,17 @@ class TestBenchCommand:
         assert "Figure 6" in warm
         assert "0 miss(es)" in warm
 
+    def test_figure_all_prints_the_tables_first(self, tmp_path, capsys):
+        assert main(["figures", "--scale", "0.1", "--jobs", "1",
+                     "--store-path", str(tmp_path / "store.sqlite")]) == 0
+        out = capsys.readouterr().out
+        assert out.index("Table II") < out.index("Table III") < out.index(
+            "Figure 4") < out.index("Figure 7") < out.index("[figures]")
+
 
 class TestStoreCommand:
     def _fill(self, path, capsys):
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
+        assert main(["figures", "--figure", "6", "--scale", "0.25",
                      "--jobs", "1", "--store-path", path]) == 0
         capsys.readouterr()
 
@@ -200,20 +218,8 @@ class TestStoreCommand:
         assert main(["store", "import", snapshot, "--path", fresh]) == 0
         assert "imported" in capsys.readouterr().out
         # the imported store serves the same figure with zero misses
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
+        assert main(["figures", "--figure", "6", "--scale", "0.25",
                      "--jobs", "1", "--store-path", fresh]) == 0
-        assert "0 miss(es)" in capsys.readouterr().out
-
-    def test_migrate_legacy_cache(self, tmp_path, capsys):
-        cache_dir = str(tmp_path / "legacy")
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
-                     "--jobs", "1", "--cache-dir", cache_dir]) == 0
-        capsys.readouterr()
-        path = str(tmp_path / "s.sqlite")
-        assert main(["store", "migrate", cache_dir, "--path", path]) == 0
-        assert "migrated" in capsys.readouterr().out
-        assert main(["bench", "--figure", "6", "--scale", "0.25",
-                     "--jobs", "1", "--store-path", path]) == 0
         assert "0 miss(es)" in capsys.readouterr().out
 
     def test_export_without_file_rejected(self, tmp_path, capsys):

@@ -34,6 +34,10 @@ class TestDeterminism:
             results.append((corpus_dir, result))
         (dir_a, first), (dir_b, second) = results
         assert first.corpus_digest == second.corpus_digest
+        # pinned across refactors of the shared shrinker and resolve loop
+        assert first.corpus_digest == (
+            "a35953b3403498f7c51639457a6267146db5ac46c29f2393641969c4fc8cd854"
+        )
         assert Corpus(dir_a).digests() == Corpus(dir_b).digests()
         assert _read(os.path.join(dir_a, COVERAGE_FILE)) == _read(
             os.path.join(dir_b, COVERAGE_FILE)
