@@ -2,8 +2,9 @@
 
 Every consumer (figures, sweeps, benchmarks, the litmus fan-out, the fuzz
 campaign, the CLI) resolves its items here instead of carrying private
-caching logic.  Both entry points run the same loop over a small per-kind
-description (:class:`_Kind`):
+caching logic.  Every entry point (including :func:`minimize_entries`,
+which shrinks a fuzz campaign's new corpus entries) runs the same loop
+over a small per-kind description (:class:`_Kind`):
 
 1. **store lookup** — a :class:`repro.store.ResultStore` answers warm
    items without simulating;
@@ -269,4 +270,56 @@ def resolve_litmus(
     ]
 
 
-__all__ = ["resolve_cells", "resolve_litmus"]
+# -- fuzz corpus entries ----------------------------------------------------------
+
+
+def _entry_kind(max_runs: int) -> _Kind:
+    """The :class:`_Kind` of fuzz corpus entries awaiting minimization.
+
+    Entries are never stored (the corpus directory is where they live),
+    and a shrink gets no per-item alarm: ``max_runs`` already bounds it.
+    """
+    from repro.verify.fuzz import campaign, corpus
+
+    def run_inline(entries, pending, results, emit) -> None:
+        for position, index in enumerate(pending):
+            results[index] = campaign.minimize_entry(entries[index],
+                                                     max_runs=max_runs)
+            emit(f"[runner] {position + 1}/{len(pending)} "
+                 f"{_entry_label(entries[index])}: minimized inline")
+
+    return _Kind(
+        key=lambda entry: entry.digest(),
+        lookup=lambda store, key: None,
+        put=lambda store, key, entry, result: None,
+        run_inline=run_inline,
+        payload=lambda entry, _timeout_s: {"entry": entry.to_json(),
+                                           "max_runs": max_runs},
+        worker=corpus.minimize_worker,
+        decode=corpus.CorpusEntry.from_json,
+        label=_entry_label,
+    )
+
+
+def _entry_label(entry) -> str:
+    return f"shrink {entry.test.get('name', '?')}@{entry.policy}"
+
+
+def minimize_entries(
+    entries: Sequence,
+    max_runs: int,
+    jobs: int | None = None,
+    progress: Callable[[str], None] | None = None,
+) -> list:
+    """Shrink fuzz corpus entries, returning the shrunk entries in input
+    order.
+
+    Each shrink is a pure function of its entry, so entries fan out over
+    ``jobs`` local workers exactly like litmus runs (inline at one job or
+    one entry) and the results do not depend on the job count.
+    """
+    return _resolve(_entry_kind(max_runs), entries, None, jobs, None, None,
+                    progress or (lambda line: None))
+
+
+__all__ = ["minimize_entries", "resolve_cells", "resolve_litmus"]

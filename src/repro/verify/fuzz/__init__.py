@@ -12,7 +12,8 @@ litmus shape; a row hit by neither is a dead-entry candidate.
 - :mod:`generate` — deterministic ``(seed, iteration) -> (test, schedule)``
 - :mod:`coverage` — per-policy table universes, coverage state, reports
 - :mod:`corpus` — deduplicated, ddmin-shrunk replayable JSON artifacts
-- :mod:`campaign` — the budgeted loop, fanned out via ``resolve_litmus``
+- :mod:`campaign` — the budgeted loop; search and corpus shrinking fan
+  out over the worker pool via :mod:`repro.store.resolve`
 """
 
 from repro.verify.fuzz.campaign import CampaignResult, run_campaign

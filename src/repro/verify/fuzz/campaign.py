@@ -7,17 +7,24 @@ a re-run or a resumed campaign replays warm iterations as lookups).
 Outcomes are processed strictly in input order:
 
 - every run's ``(table, state, event)`` triples merge into the per-policy
-  :class:`CoverageState`; a run that claimed *new* rows is shrunk with the
-  coverage-preserving ddmin and added to the corpus;
-- every *failing* run is shrunk with the failure-kind-preserving ddmin and
-  dumped as a replayable artifact under ``<corpus>/failures/`` (one per
-  ``(policy, failure kind)`` signature — later duplicates are counted,
-  not re-minimized).
+  :class:`CoverageState`; a run that claimed *new* rows becomes a corpus
+  entry;
+- every *failing* run is shrunk inline with the failure-kind-preserving
+  ddmin and dumped as a replayable artifact under ``<corpus>/failures/``
+  (one per ``(policy, failure kind)`` signature — later duplicates are
+  counted, not re-minimized).
+
+Once the whole batch is folded, its new entries are shrunk with the
+coverage-preserving ddmin on the same worker pool as the search
+(:func:`minimize_entries`; a shrink depends only on its entry, and
+coverage only on search outcomes, so the corpus does not depend on the
+job count) and added to the corpus in input order.
 
 The coverage state persists as ``<corpus>/coverage.json`` after every
-batch, so an interrupted campaign resumes by simply re-running: warm
-iterations come back from the store, already-claimed rows add no corpus
-entries, and the walk continues where it stopped.
+batch, once the batch's entries are on disk, so an interrupted campaign
+resumes by simply re-running: warm iterations come back from the store,
+already-claimed rows add no corpus entries, and the walk continues where
+it stopped.
 """
 
 from __future__ import annotations
@@ -27,14 +34,16 @@ import json
 import os
 from dataclasses import dataclass, field
 
-from repro.verify.fuzz.corpus import Corpus, CorpusEntry, minimize_entry
+# ``minimize_entry`` is looked up on this module by the inline shrink
+# (``jobs=1`` or a one-entry batch), so a patched binding is the one run.
+from repro.verify.fuzz.corpus import Corpus, CorpusEntry, minimize_entry  # noqa: F401
 from repro.verify.fuzz.coverage import CoverageState, coverage_report
 from repro.verify.fuzz.generate import generate_case, profile_for_targets
 
 #: programs per resolve_litmus batch (each fans out over the policies)
 BATCH_PROGRAMS = 25
 
-#: default shrink budgets (candidate runs each)
+#: default shrink budgets (shrink candidates each)
 MINIMIZE_RUNS = 120
 FAILURE_MINIMIZE_RUNS = 400
 
@@ -111,6 +120,9 @@ def run_campaign(
     budget means the same wall-clock class regardless of how many
     policies are swept.  Shrink runs (corpus and failure minimization)
     are not budgeted — they are the campaign's output, not its search.
+    Each batch's new corpus entries are shrunk together on the ``jobs``
+    worker pool after the batch's outcomes are folded; failures are
+    shrunk inline under the same ``max_events`` cap as the search.
 
     ``mutate_system`` injects a protocol fault into every run (and every
     shrink candidate); it forces inline execution and disables both the
@@ -123,7 +135,8 @@ def run_campaign(
     schedules toward the named rows, and the result reports which
     targets any policy hit.
     """
-    from repro.store.resolve import resolve_litmus
+    from repro.store.resolve import minimize_entries, resolve_litmus
+    from repro.verify.litmus.harness import LITMUS_MAX_EVENTS
     from repro.verify.litmus.minimize import (
         artifact_to_dict,
         minimize_failure,
@@ -134,6 +147,8 @@ def run_campaign(
         raise ValueError("need at least one policy")
     emit = progress or (lambda line: None)
     fault_mode = mutate_system is not None
+    if max_events is None:
+        max_events = LITMUS_MAX_EVENTS
     targets = [tuple(target) for target in targets or ()]
     profile = profile_for_targets(targets) if targets else None
     if targets:
@@ -175,6 +190,7 @@ def run_campaign(
         )
         result.runs += len(runs)
 
+        fresh_entries = []
         for (test, policy, schedule), outcome in zip(runs, outcomes):
             fresh = state.add(policy, outcome.coverage or ())
             if not outcome.ok:
@@ -186,6 +202,7 @@ def run_campaign(
                     shrunk = minimize_failure(
                         test, policy, schedule,
                         mutate_system=mutate_system,
+                        max_events=max_events,
                         max_runs=failure_minimize_runs,
                     )
                     if shrunk is not None:
@@ -197,14 +214,15 @@ def run_campaign(
                         emit(f"[fuzz] artifact: {path}")
                 continue
             if fresh and not fault_mode:
-                entry = CorpusEntry.make(
+                fresh_entries.append(CorpusEntry.make(
                     test, schedule, policy, fresh,
                     seed=seed, iteration=_iteration_of(test),
-                )
-                entry = minimize_entry(entry, max_runs=minimize_runs)
-                if corpus.add(entry):
-                    result.new_entries += 1
-                    emit(f"[fuzz] corpus += {entry.describe()}")
+                ))
+        for entry in minimize_entries(fresh_entries, minimize_runs,
+                                      jobs=jobs, progress=progress):
+            if corpus.add(entry):
+                result.new_entries += 1
+                emit(f"[fuzz] corpus += {entry.describe()}")
         if not fault_mode:
             state.save(coverage_path)
 

@@ -11,7 +11,9 @@ Minimization reuses the litmus shrinker
 (:func:`repro.verify.litmus.minimize.shrink_agents`), but with coverage
 as the predicate instead of failure: ops are dropped while the shrunk program
 still fires every row the entry claimed, so corpus entries stay small
-without losing the coverage they exist to witness.
+without losing the coverage they exist to witness.  A shrink is a pure
+function of the entry, so a campaign fans each batch's new entries out
+over the worker pool (:func:`minimize_worker` is the pool entry point).
 """
 
 from __future__ import annotations
@@ -172,3 +174,9 @@ def minimize_entry(entry: CorpusEntry, max_runs: int = 200) -> CorpusEntry:
     current = shrink_agents(entry.litmus(), still_covers, _Budget(max_runs))
     return CorpusEntry.make(current, schedule, policy, claimed,
                             entry.seed, entry.iteration)
+
+
+def minimize_worker(payload: dict) -> dict:
+    """Pool entry point: shrink one serialized entry, return it serialized."""
+    entry = CorpusEntry.from_json(payload["entry"])
+    return minimize_entry(entry, max_runs=payload["max_runs"]).to_json()

@@ -10,7 +10,10 @@ order of payoff:
    reproduces on a simpler (ideally canonical) schedule.
 
 Levels 1 and 2 are :func:`shrink_agents`, which the fuzz corpus shares
-with a coverage predicate instead of a failure predicate.
+with a coverage predicate instead of a failure predicate.  ddmin re-proposes
+programs it has already judged (a re-scan after a reduction, an agent drop
+that repeats an earlier one), so :func:`shrink_agents` evaluates each
+distinct candidate once and answers repeats from a per-call memo.
 
 Every candidate is re-run with :func:`~repro.verify.litmus.harness.run_litmus`
 and accepted only if it fails with the *same failure kind* as the original
@@ -55,8 +58,10 @@ class MinimizationResult:
     schedule: Schedule
     failure_kind: str
     messages: list[str]
-    runs: int  #: candidate executions spent shrinking
+    runs: int  #: candidate budget spent shrinking
     trace_text: str | None = None
+    #: event cap every run used; the failure may depend on it (``crash``)
+    max_events: int = LITMUS_MAX_EVENTS
 
     @property
     def original_ops(self) -> int:
@@ -71,7 +76,7 @@ class MinimizationResult:
             f"{self.original.name}: {self.failure_kind} reproduced with "
             f"{self.minimized_ops}/{self.original_ops} ops "
             f"(policy {self.policy_name}, schedule {self.schedule.label()}, "
-            f"{self.runs} shrink runs)"
+            f"{self.runs} shrink candidates)"
         )
 
 
@@ -124,17 +129,26 @@ def shrink_agents(test: LitmusTest, keeps: Callable[[LitmusTest], bool],
     """Levels 1 and 2: drop whole agents, then ddmin each agent's ops.
 
     ``keeps`` is the property every accepted candidate must still have
-    (the same failure kind, or the same claimed coverage).  A candidate
-    left with no agent at all spends its budget unit and is rejected.
-    Finally, empty wave slots and trailing empty thread slots are
-    stripped — but agent count is itself a schedule input (it shifts
-    downstream tie-breaks), so the stripped form is adopted only if it
-    still ``keeps``.
+    (the same failure kind, or the same claimed coverage); it must be a
+    pure function of the candidate, because each distinct candidate (by
+    canonical JSON) is evaluated once and repeats reuse the answer.  Every
+    candidate still spends its budget unit, so the memo changes which runs
+    happen, never what is accepted.  A candidate left with no agent at all
+    spends its budget unit and is rejected.  Finally, empty wave slots and
+    trailing empty thread slots are stripped — but agent count is itself
+    a schedule input (it shifts downstream tie-breaks), so the stripped
+    form is adopted only if it still ``keeps``.
     """
 
+    judged: dict[str, bool] = {}
+
     def holds(candidate: LitmusTest) -> bool:
-        return (bool(candidate.threads or candidate.gpu_waves or candidate.dma)
-                and keeps(candidate))
+        if not (candidate.threads or candidate.gpu_waves or candidate.dma):
+            return False
+        key = json.dumps(candidate.to_json(), sort_keys=True)
+        if key not in judged:
+            judged[key] = keeps(candidate)
+        return judged[key]
 
     current = test
     # level 1: drop whole agents (empty thread slots keep core placement)
@@ -284,6 +298,7 @@ def minimize_failure(
         messages=list(final.messages or first.messages),
         runs=budget.used,
         trace_text=final.trace_text,
+        max_events=max_events,
     )
 
 
@@ -313,6 +328,7 @@ def artifact_to_dict(result: MinimizationResult) -> dict:
         if result.policy_name in POLICY_VARIANTS
         else None,
         "schedule": result.schedule.to_json(),
+        "max_events": result.max_events,
         "failure": {"kind": result.failure_kind, "messages": result.messages},
         "trace": result.trace_text,
     }
@@ -349,7 +365,8 @@ def replay_artifact(
     kinds skip it: a shrunk op list rarely still satisfies the original
     exact postcondition, and the recorded failure reproduces without it).
     Fault-injection failures need the same ``mutate_system`` hook passed
-    again.
+    again.  The run uses the artifact's recorded event cap (artifacts
+    written before it was recorded ran under :data:`LITMUS_MAX_EVENTS`).
     """
     from repro.verify.litmus.registry import REGISTRY
 
@@ -368,6 +385,7 @@ def replay_artifact(
         policy=policy,
         policy_name=data.get("policy_name", "artifact"),
         schedule=Schedule.from_json(data["schedule"]),
+        max_events=data.get("max_events", LITMUS_MAX_EVENTS),
         trace=trace,
         mutate_system=mutate_system,
     )

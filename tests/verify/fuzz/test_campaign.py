@@ -5,13 +5,22 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from repro.store import ResultStore
+from repro.verify.fuzz import campaign
 from repro.verify.fuzz.campaign import (
+    BATCH_PROGRAMS,
     COVERAGE_FILE,
     REPORT_FILE,
     run_campaign,
 )
 from repro.verify.fuzz.corpus import Corpus
+
+#: corpus digest of the seed-0, budget-30 baseline campaign below
+BUDGET30_DIGEST = (
+    "a35953b3403498f7c51639457a6267146db5ac46c29f2393641969c4fc8cd854"
+)
 
 
 def _read(path):
@@ -35,9 +44,7 @@ class TestDeterminism:
         (dir_a, first), (dir_b, second) = results
         assert first.corpus_digest == second.corpus_digest
         # pinned across refactors of the shared shrinker and resolve loop
-        assert first.corpus_digest == (
-            "a35953b3403498f7c51639457a6267146db5ac46c29f2393641969c4fc8cd854"
-        )
+        assert first.corpus_digest == BUDGET30_DIGEST
         assert Corpus(dir_a).digests() == Corpus(dir_b).digests()
         assert _read(os.path.join(dir_a, COVERAGE_FILE)) == _read(
             os.path.join(dir_b, COVERAGE_FILE)
@@ -46,6 +53,23 @@ class TestDeterminism:
             os.path.join(dir_b, REPORT_FILE)
         )
         assert first.report_data == second.report_data
+
+    def test_job_count_does_not_change_the_output(self, tmp_path):
+        """Corpus entries are shrunk on the pool at ``jobs > 1`` and
+        inline at ``jobs=1``: both give the pinned corpus and
+        byte-identical coverage and report files."""
+        dirs = {}
+        for jobs in (1, 2):
+            dirs[jobs] = str(tmp_path / f"jobs{jobs}")
+            result = run_campaign(
+                seed=0, budget=30, corpus_dir=dirs[jobs],
+                policies=["baseline"], jobs=jobs, minimize_runs=60,
+            )
+            assert result.corpus_digest == BUDGET30_DIGEST
+        for name in (COVERAGE_FILE, REPORT_FILE):
+            assert _read(os.path.join(dirs[1], name)) == _read(
+                os.path.join(dirs[2], name)
+            )
 
     def test_campaign_reports_per_policy_percentages(self, tmp_path):
         result = run_campaign(
@@ -75,6 +99,42 @@ class TestResume:
         assert second.new_entries == 0
         assert second.corpus_digest == first.corpus_digest
         assert second.report_data == first.report_data
+
+    def test_interrupted_campaign_resumes_to_the_same_corpus(
+            self, tmp_path, monkeypatch):
+        """A campaign killed while shrinking batch 2 leaves batch 1's
+        coverage and entries only; re-running it ends with the corpus of
+        an uninterrupted campaign."""
+        real = campaign.minimize_entry
+
+        def interrupted(entry, **kwargs):
+            if entry.iteration >= BATCH_PROGRAMS:
+                raise RuntimeError("interrupted")
+            return real(entry, **kwargs)
+
+        batch1_dir = str(tmp_path / "batch1")
+        run_campaign(
+            seed=0, budget=BATCH_PROGRAMS, corpus_dir=batch1_dir,
+            policies=["baseline"], jobs=1, minimize_runs=60,
+        )
+        corpus_dir = str(tmp_path / "c")
+        monkeypatch.setattr(campaign, "minimize_entry", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            run_campaign(
+                seed=0, budget=30, corpus_dir=corpus_dir,
+                policies=["baseline"], jobs=1, minimize_runs=60,
+            )
+        assert _read(os.path.join(corpus_dir, COVERAGE_FILE)) == _read(
+            os.path.join(batch1_dir, COVERAGE_FILE)
+        )
+        assert Corpus(corpus_dir).digests() == Corpus(batch1_dir).digests()
+
+        monkeypatch.setattr(campaign, "minimize_entry", real)
+        resumed = run_campaign(
+            seed=0, budget=30, corpus_dir=corpus_dir,
+            policies=["baseline"], jobs=1, minimize_runs=60,
+        )
+        assert resumed.corpus_digest == BUDGET30_DIGEST
 
     def test_larger_budget_extends_a_finished_campaign(self, tmp_path):
         corpus_dir = str(tmp_path / "c")
@@ -138,6 +198,27 @@ class TestStoreBackedCampaign:
             )
         assert warm.corpus_digest == cold.corpus_digest
         assert warm.report_data == cold.report_data
+
+
+class TestFailures:
+    def test_event_cap_applies_to_failure_minimization(self, tmp_path):
+        """Regression: a campaign with a non-default ``max_events`` used to
+        re-run its failures under the default cap while minimizing them;
+        the re-run passed and the failure was silently dropped.  The
+        artifact records the cap, so it replays the same crash."""
+        from repro.verify.litmus import load_artifact, replay_artifact
+
+        result = run_campaign(
+            seed=0, budget=6, corpus_dir=str(tmp_path / "c"),
+            policies=["baseline"], jobs=1, max_events=200,
+            failure_minimize_runs=40,
+        )
+        assert len(result.failures) == 1
+        artifact = load_artifact(result.failures[0])
+        assert artifact["failure"]["kind"] == "crash"
+        assert artifact["max_events"] == 200
+        outcome = replay_artifact(result.failures[0])
+        assert outcome.failure_kind == "crash"
 
 
 class TestArtifacts:

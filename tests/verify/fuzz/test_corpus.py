@@ -11,9 +11,11 @@ from repro.verify.fuzz.corpus import (
     Corpus,
     CorpusEntry,
     minimize_entry,
+    minimize_worker,
 )
 from repro.verify.fuzz.generate import generate_case
 from repro.verify.litmus import Schedule, run_litmus
+from repro.verify.litmus.minimize import _Budget, shrink_agents
 
 
 def _entry(iteration: int = 0, policy: str = "baseline") -> CorpusEntry:
@@ -153,3 +155,49 @@ class TestMinimizeEntry:
                                  baseline_rows, seed=0, iteration=5)
         shrunk = minimize_entry(entry, max_runs=120)
         assert shrunk.litmus().total_ops() == 1
+
+
+class TestShrinkMemo:
+    """Seed-0 iteration 5 under the baseline policy: ddmin proposes 46
+    candidates, nine of them repeats of programs it already judged."""
+
+    #: the shrunk program and budget spent; the memo must not change them
+    SHRUNK_THREADS = [
+        [["store", "x1", 210], ["atomic", "x2", "max", 7, "a2"],
+         ["store", "x0", 110]],
+        [],
+        [["load", "x1", "r0"], ["flush", "x3"], ["store", "x2", 14]],
+        [["load", "x4", "r0"], ["atomic", "x3", "cas", 7, "a1"],
+         ["store", "x2", 114]],
+    ]
+    BUDGET_USED = 46
+    ENTRY_DIGEST = (
+        "af818a824d5650adebadf4e7498ab46c9001275dba7199f53249021292b0d211"
+    )
+
+    def test_repeated_candidates_are_judged_once(self):
+        entry = _entry(5)
+        claimed = set(entry.new_coverage)
+        schedule = entry.schedule_obj()
+        judged = []
+
+        def still_covers(candidate) -> bool:
+            judged.append(json.dumps(candidate.to_json(), sort_keys=True))
+            outcome = run_litmus(candidate, policy_name="baseline",
+                                 schedule=schedule, coverage=True)
+            return claimed <= set(outcome.coverage or ())
+
+        budget = _Budget(120)
+        shrunk = shrink_agents(entry.litmus(), still_covers, budget)
+        assert json.loads(json.dumps(shrunk.threads)) == self.SHRUNK_THREADS
+        assert shrunk.gpu_waves == [] and len(shrunk.dma) == 1
+        assert budget.used == self.BUDGET_USED
+        assert len(judged) == len(set(judged))
+        assert len(judged) < budget.used
+
+    def test_pool_worker_and_inline_shrink_agree(self):
+        entry = _entry(5)
+        inline = minimize_entry(entry, max_runs=120)
+        answer = minimize_worker({"entry": entry.to_json(), "max_runs": 120})
+        assert inline.digest() == self.ENTRY_DIGEST
+        assert CorpusEntry.from_json(answer).digest() == self.ENTRY_DIGEST
