@@ -17,6 +17,9 @@ Timed benchmarks plus a machine-speed calibration score:
   output-port serialization and input-arbitration paths.
 - ``figure_slice`` — one real figure-pipeline cell (cedd on the baseline
   policy) timed end-to-end, events/sec taken from the event queue itself.
+- ``system_build`` — ``build_system`` for the ``small`` and ``ryzen_2200g``
+  configs with the sharer-tracking directory (262,144 entries in Table II);
+  its score is the geometric mean of the two builds/sec rates.
 - ``calibration`` — a fixed pure-Python integer loop, used to normalize
   events/sec across machines of different speeds (the CI perf gate
   compares *calibrated* ratios, not absolute numbers).
@@ -31,13 +34,14 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import statistics
 import sys
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.coherence.policies import PRESETS  # noqa: E402
+from repro.coherence.policies import PRESETS, SHARER_TRACKING  # noqa: E402
 from repro.mem.main_memory import MainMemory  # noqa: E402
 from repro.sim.clock import ClockDomain  # noqa: E402
 from repro.sim.component import Controller  # noqa: E402
@@ -53,7 +57,9 @@ from repro.workloads.registry import get_workload  # noqa: E402
 #: v3: calendar event queue became the production kernel;
 #: event_queue_calendar (clustered ticks + far-future timers) and
 #: alloc_pooling (pooled banked-memory churn) added.
-SUITE_VERSION = 3
+#: v4: system_build (small + ryzen_2200g with sharer tracking) added; cache
+#: line views and directory entry slots became lazily allocated.
+SUITE_VERSION = 4
 
 
 # -- calibration -----------------------------------------------------------
@@ -285,7 +291,45 @@ def bench_figure_slice(workload: str = "cedd", policy: str = "baseline",
     }
 
 
+# -- system build -----------------------------------------------------------
+
+
+def bench_system_build(builds: int = 10) -> dict:
+    """``build_system`` for a small and a Table II sharer-tracking config.
+
+    Each config is built ``builds`` times; the score (``builds_per_sec``)
+    is the geometric mean of the per-config rates, so the small config's
+    build counts as much as the 262,144-entry directory's.
+    """
+    configs = {
+        "small": SystemConfig.small(policy=SHARER_TRACKING),
+        "ryzen_2200g": SystemConfig.ryzen_2200g(policy=SHARER_TRACKING),
+    }
+    rates: dict[str, float] = {}
+    total = 0.0
+    for name, config in configs.items():
+        start = time.perf_counter()
+        for _ in range(builds):
+            build_system(config)
+        elapsed = time.perf_counter() - start
+        total += elapsed
+        rates[name] = builds / elapsed
+    return {
+        "builds": builds * len(configs),
+        "seconds": total,
+        "per_config_builds_per_sec": rates,
+        "builds_per_sec": statistics.geometric_mean(rates.values()),
+    }
+
+
 # -- suite ------------------------------------------------------------------
+
+#: the throughput each benchmark is scored (and gated) on
+_RATE_KEY = {"system_build": "builds_per_sec"}
+
+
+def rate_of(name: str, bench: dict) -> float:
+    return bench[_RATE_KEY.get(name, "events_per_sec")]
 
 
 def run_suite(quick: bool = False, repeats: int = 3) -> dict:
@@ -297,6 +341,7 @@ def run_suite(quick: bool = False, repeats: int = 3) -> dict:
     eq_n = 40_000 if quick else 200_000
     net_n = 20_000 if quick else 100_000
     mem_n = 12_000 if quick else 60_000
+    build_n = 3 if quick else 10
     # the slice runs full-scale even in quick mode: events/sec at 0.25
     # scale sits systematically ~30% below full scale (fixed warmup
     # amortized over fewer events), which made the quick-mode CI gate
@@ -329,11 +374,14 @@ def run_suite(quick: bool = False, repeats: int = 3) -> dict:
                 bench_figure_slice, "cedd", "baseline", slice_scale,
                 key="events_per_sec",
             ),
+            "system_build": best(
+                bench_system_build, build_n, key="builds_per_sec",
+            ),
         },
     }
     cal = report["calibration_ops_per_sec"]
     for name, bench in report["benchmarks"].items():
-        bench["calibrated_score"] = bench["events_per_sec"] / cal
+        bench["calibrated_score"] = rate_of(name, bench) / cal
     return report
 
 
@@ -342,8 +390,9 @@ def gate(fresh: dict, baseline: dict, tolerance: float = 0.30) -> list[str]:
 
     Returns a list of human-readable failures (empty = pass).  Scores are
     calibration-normalized so a slower CI machine does not trip the gate;
-    a benchmark fails when its calibrated events/sec drops more than
-    ``tolerance`` below the baseline's.
+    a benchmark fails when its calibrated rate (events/sec, or builds/sec
+    for ``system_build``) drops more than ``tolerance`` below the
+    baseline's.
     """
     failures: list[str] = []
     if baseline.get("suite_version") != fresh.get("suite_version"):
@@ -360,9 +409,9 @@ def gate(fresh: dict, baseline: dict, tolerance: float = 0.30) -> list[str]:
         floor = base["calibrated_score"] * (1.0 - tolerance)
         if now["calibrated_score"] < floor:
             failures.append(
-                f"{name}: calibrated score {now['calibrated_score']:.4f} "
-                f"< floor {floor:.4f} "
-                f"(baseline {base['calibrated_score']:.4f}, "
+                f"{name}: calibrated score {now['calibrated_score']:.4g} "
+                f"< floor {floor:.4g} "
+                f"(baseline {base['calibrated_score']:.4g}, "
                 f"tolerance {tolerance:.0%})"
             )
     return failures
@@ -384,8 +433,8 @@ def main(argv: list[str] | None = None) -> int:
     report = run_suite(quick=args.quick, repeats=args.repeats)
     pathlib.Path(args.output).write_text(json.dumps(report, indent=1) + "\n")
     for name, bench in report["benchmarks"].items():
-        print(f"{name:<14} {bench['events_per_sec']:>12,.0f} events/s "
-              f"(calibrated {bench['calibrated_score']:.4f})")
+        print(f"{name:<20} {rate_of(name, bench):>12,.1f}/s "
+              f"(calibrated {bench['calibrated_score']:.4g})")
     print(f"report written to {args.output}")
 
     if args.gate:

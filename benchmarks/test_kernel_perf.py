@@ -1,12 +1,13 @@
 """Kernel microbenchmark suite (perf trajectory).
 
-Times the simulation kernel four ways — raw event-queue dispatch, the
-fabric message path (flat and contended), and one real figure-pipeline
-cell — and emits
+Times the simulation kernel — raw event-queue dispatch, the fabric
+message path (flat and contended), one real figure-pipeline cell — plus
+system construction (``system_build``), and emits
 ``BENCH_kernel.json`` at the repo root (override with ``$REPRO_BENCH_OUT``).
 The committed ``BENCH_kernel.json`` is the perf-trajectory baseline; the CI
 perf-smoke job re-runs this suite and fails on a >30% calibrated
-events/sec regression (see ``benchmarks/kernel_perf.py --gate``).
+events/sec (builds/sec for ``system_build``) regression (see
+``benchmarks/kernel_perf.py --gate``).
 
 Quick mode (``REPRO_BENCH_QUICK=1``, used by CI) shrinks the workloads but
 exercises the same code paths.
@@ -23,7 +24,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
-from kernel_perf import REPO_ROOT, gate, run_suite  # noqa: E402
+from kernel_perf import REPO_ROOT, gate, rate_of, run_suite  # noqa: E402
 
 _QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 
@@ -36,8 +37,8 @@ def report() -> dict:
     out.write_text(json.dumps(result, indent=1) + "\n")
     print(f"\nkernel perf report written to {out}")
     for name, bench in result["benchmarks"].items():
-        print(f"  {name:<14} {bench['events_per_sec']:>12,.0f} events/s "
-              f"(calibrated {bench['calibrated_score']:.4f})")
+        print(f"  {name:<20} {rate_of(name, bench):>12,.1f}/s "
+              f"(calibrated {bench['calibrated_score']:.4g})")
     return result
 
 
@@ -71,6 +72,19 @@ def test_figure_slice_runs_and_reports_events(report):
     assert bench["events"] > 1_000
     assert bench["simulated_ticks"] > 0
     assert bench["network_messages"] > 0
+
+
+def test_system_build_rate_is_sane(report):
+    bench = report["benchmarks"]["system_build"]
+    rates = bench["per_config_builds_per_sec"]
+    assert set(rates) == {"small", "ryzen_2200g"}
+    assert bench["builds"] > 0
+    # the small config builds in a few ms, far faster than Table II's
+    assert rates["small"] > rates["ryzen_2200g"] > 0
+    assert min(rates.values()) <= bench["builds_per_sec"] <= max(rates.values())
+    assert bench["calibrated_score"] == pytest.approx(
+        bench["builds_per_sec"] / report["calibration_ops_per_sec"]
+    )
 
 
 def test_report_is_gateable(report):

@@ -15,10 +15,13 @@ Storage: entry state lives in struct-of-arrays planes inside a
 ``sharer_count`` / ``overflow`` lists indexed by an integer slot — and a
 :class:`DirEntry` is a slim view over one slot, so directories hold one
 plane set instead of one bag-of-attributes object per tracked line.
-Standalone ``DirEntry(...)`` construction (tests, tools) transparently
-allocates from a private single-entry store.  Store slots are recycled
-through a free list by :meth:`DirEntryStore.release`; the per-slot sharer
-``set`` objects are kept and cleared rather than reallocated.
+A store starts empty and grows by one slot whenever
+:meth:`DirEntryStore.alloc` finds no free slot, so its size is the peak
+number of live entries, not the directory's capacity.  Standalone
+``DirEntry(...)`` construction (tests, tools) takes the only slot of a
+private store.  Store slots are recycled through a free list by
+:meth:`DirEntryStore.release`; the per-slot sharer ``set`` objects are kept
+and cleared rather than reallocated.
 """
 
 from __future__ import annotations
@@ -34,10 +37,7 @@ class DirEntryStore:
     )
 
     def __init__(
-        self,
-        capacity: int = 0,
-        track_identities: bool = True,
-        pointer_limit: int | None = None,
+        self, track_identities: bool = True, pointer_limit: int | None = None
     ) -> None:
         self.track_identities = track_identities
         self.pointer_limit = pointer_limit if track_identities else None
@@ -48,26 +48,21 @@ class DirEntryStore:
         self.overflow: list[bool] = []
         self._free: list[int] = []
         self._views: list["DirEntry"] = []
-        for _ in range(capacity):
-            self._grow()
 
     def _grow(self) -> int:
+        """Append one cleared slot to every plane; returns its index."""
         slot = len(self.owner)
         self.owner.append(None)
         self.sharers.append(set() if self.track_identities else None)
         self.sharer_count.append(0)
         self.overflow.append(False)
         self._views.append(DirEntry._over(self, slot))
-        self._free.append(slot)
         return slot
 
     def alloc(self) -> "DirEntry":
-        """A cleared entry view; grows the planes when the store is full."""
+        """A cleared entry view; grows the planes when no slot is free."""
         free = self._free
-        if not free:
-            self._grow()
-        slot = free.pop()
-        return self._views[slot]
+        return self._views[free.pop() if free else self._grow()]
 
     def release(self, entry: "DirEntry") -> None:
         """Return ``entry``'s slot to the free list, scrubbing its planes.
@@ -96,22 +91,16 @@ class DirEntry:
     """Owner/sharer bookkeeping attached to a directory-cache line.
 
     A view over one :class:`DirEntryStore` slot; the constructor keeps the
-    historical standalone form by allocating a fresh single-entry store.
+    historical standalone form by taking the one slot of a fresh store.
     """
 
     __slots__ = ("_store", "_slot")
 
     def __init__(self, track_identities: bool, pointer_limit: int | None = None) -> None:
-        store = DirEntryStore(
-            capacity=1,
-            track_identities=track_identities,
-            pointer_limit=pointer_limit,
-        )
-        store._free.clear()
+        store = DirEntryStore(track_identities, pointer_limit)
         self._store = store
-        self._slot = 0
-        # the store built its own view; rebind it so both resolve here
-        store._views[0] = self
+        self._slot = store._grow()
+        store._views[self._slot] = self
 
     @classmethod
     def _over(cls, store: DirEntryStore, slot: int) -> "DirEntry":

@@ -11,10 +11,12 @@ lists (``_addr``, ``_state``, ``_data``, ``_dirty``, ``_meta``, ``_valid``)
 indexed by the flat slot ``set_idx * ways + way`` — rather than one Python
 object per line.  Controllers keep the object-style API: :meth:`lookup` and
 friends hand out a per-slot :class:`_LineView` whose attributes read and
-write the planes, so ``line.state = X`` works exactly as before.  Hot paths
-can skip the view entirely with the index API (:meth:`find`,
-:meth:`find_touch` plus the plane lists), turning lookup/touch/state-update
-into dict-get + list indexing.
+write the planes, so ``line.state = X`` works exactly as before.  A slot's
+view is built the first time the array hands the slot out, so building an
+array costs a few flat lists, not one object per line.  Hot paths can skip
+the view entirely with the index API (:meth:`find`, :meth:`find_touch` plus
+the plane lists), turning lookup/touch/state-update into dict-get + list
+indexing.
 
 Replacement: arrays built with the default :class:`TreePLRU` keep the whole
 per-set tree in one integer (bit ``n`` of ``_plru[set]`` is node ``n`` of
@@ -43,7 +45,7 @@ class CacheLine:
     have left the array.
     """
 
-    __slots__ = ("valid", "addr", "state", "data", "dirty", "meta", "set_idx", "way")
+    __slots__ = ("valid", "addr", "state", "data", "dirty", "meta")
 
     def __init__(self) -> None:
         self.valid = False
@@ -52,9 +54,6 @@ class CacheLine:
         self.data: LineData | None = None
         self.dirty = False
         self.meta: Any = None
-        # geometry position (-1 for detached snapshots).
-        self.set_idx = -1
-        self.way = -1
 
     def reset(self) -> None:
         self.valid = False
@@ -76,10 +75,10 @@ class CacheLine:
 class _LineView:
     """A live window onto one slot of the array's planes.
 
-    One view per slot, built once with the array; identity is stable, so
-    holding a view across time behaves exactly like holding the old
-    per-way ``CacheLine`` object (it always shows the slot's *current*
-    occupant).
+    One view per slot, built the first time the array hands the slot out
+    and cached from then on; identity is stable, so holding a view across
+    time behaves exactly like holding the old per-way ``CacheLine`` object
+    (it always shows the slot's *current* occupant).
     """
 
     __slots__ = ("_array", "_slot")
@@ -135,14 +134,6 @@ class _LineView:
     @meta.setter
     def meta(self, value: Any) -> None:
         self._array._meta[self._slot] = value
-
-    @property
-    def set_idx(self) -> int:
-        return self._slot // self._array.ways
-
-    @property
-    def way(self) -> int:
-        return self._slot % self._array.ways
 
     def reset(self) -> None:
         array = self._array
@@ -230,7 +221,10 @@ class CacheArray:
         self._data: list[Any] = [None] * slots
         self._dirty = [False] * slots
         self._meta: list[Any] = [None] * slots
-        self._views = [_LineView(self, slot) for slot in range(slots)]
+        # views are built on first hand-out by view(); a slot only turns
+        # valid through a handed-out view or install(), which picks it with
+        # choose_victim, so every valid slot already has its view.
+        self._views: list[_LineView | None] = [None] * slots
         #: line-aligned address -> flat slot index
         self._index: dict[int, int] = {}
         # replacement state: integer trees for the default TreePLRU,
@@ -242,8 +236,8 @@ class CacheArray:
             self._victim_memo = victim_memo
             self._plru_leaves = leaves
             # per-slot touch masks (indexable straight from the flat slot)
-            self._touch_and = [touch_and[slot % ways] for slot in range(slots)]
-            self._touch_or = [touch_or[slot % ways] for slot in range(slots)]
+            self._touch_and = touch_and * num_sets
+            self._touch_or = touch_or * num_sets
             self._repl: list[ReplacementPolicy] | None = None
         else:
             self._plru = None
@@ -305,10 +299,10 @@ class CacheArray:
 
     def view(self, slot: int) -> "_LineView":
         """The live view for a flat slot index (pairs with :meth:`find`)."""
-        return self._views[slot]
-
-    def touch(self, line: "_LineView | CacheLine") -> None:
-        self.touch_slot(line.set_idx * self.ways + line.way)
+        view = self._views[slot]
+        if view is None:
+            view = self._views[slot] = _LineView(self, slot)
+        return view
 
     def touch_slot(self, slot: int) -> None:
         plru = self._plru
@@ -368,9 +362,9 @@ class CacheArray:
         base = set_idx * self.ways
         valid = self._valid
         views = self._views
-        for way in range(self.ways):
-            if not valid[base + way]:
-                return views[base + way]
+        for slot in range(base, base + self.ways):
+            if not valid[slot]:
+                return self.view(slot)
         if self._plru is not None:
             victim_way = self._fast_victim(set_idx)
         else:

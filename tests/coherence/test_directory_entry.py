@@ -5,7 +5,14 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coherence.directory_entry import DirEntry
+from repro.coherence.directory_entry import DirEntry, DirEntryStore
+from repro.coherence.policies import SHARER_TRACKING
+from repro.coherence.precise import PreciseDirectory
+from repro.system.builder import build_system
+from repro.system.config import SystemConfig
+from repro.verify.litmus.harness import run_litmus
+from repro.verify.litmus.registry import get_litmus
+from repro.verify.litmus.schedule import Schedule
 
 NAMES = [f"l2.{i}" for i in range(8)]
 
@@ -106,3 +113,49 @@ class TestProperties:
             # untracked duplicates cannot be deduped (real limited-pointer
             # hardware has the same conservative over-count)
             assert entry.sharer_count >= distinct
+
+
+class TestStoreGrowth:
+    """A store holds as many slots as its peak number of live entries."""
+
+    def test_store_starts_empty_and_reuses_released_slots(self):
+        store = DirEntryStore()
+        assert len(store.owner) == 0
+        first = store.alloc()
+        first.owner = "l2.0"
+        first.add_sharer("l2.1")
+        second = store.alloc()
+        assert len(store.owner) == 2 and len(store) == 2
+        store.release(first)
+        reused = store.alloc()
+        assert reused is first
+        assert reused.owner is None and reused.sharers == set()
+        assert len(store.owner) == 2
+        assert second is not reused
+
+    def test_standalone_entry_owns_the_only_slot_of_its_store(self):
+        entry = DirEntry(track_identities=False)
+        store = entry._store
+        assert len(store.owner) == 1 and len(store) == 1
+        assert store._views == [entry]
+        assert entry.sharers is None
+
+    def test_building_a_system_allocates_no_entry_slot(self):
+        system = build_system(SystemConfig.ryzen_2200g(policy=SHARER_TRACKING))
+        directories = [d for d in system.directories
+                       if isinstance(d, PreciseDirectory)]
+        assert directories
+        for directory in directories:
+            assert len(directory.dir_cache) == SHARER_TRACKING.dir_entries
+            assert len(directory._entry_store.owner) == 0
+
+    def test_tiny_directory_run_stays_within_directory_capacity(self):
+        systems = []
+        outcome = run_litmus(
+            get_litmus("vicdirty_race"), SHARER_TRACKING,
+            Schedule(0, dir_entries=2), "sharers", mutate_system=systems.append,
+        )
+        assert outcome.ok, outcome.describe()
+        directory = systems[0].directory
+        assert directory.stats["dir_evictions"] > 0  # slots were recycled
+        assert 0 < len(directory._entry_store.owner) <= len(directory.dir_cache)

@@ -6,13 +6,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.coherence.policies import SHARER_TRACKING
 from repro.mem.address import LINE_BYTES
 from repro.mem.block import ZERO_LINE
 from repro.mem.cache_array import CacheArray
+from repro.system.builder import build_system
+from repro.system.config import SystemConfig
+from repro.verify.litmus.harness import run_litmus
+from repro.verify.litmus.registry import get_litmus
+from repro.verify.litmus.schedule import Schedule
 
 
 def addr_of(line_no: int) -> int:
     return line_no * LINE_BYTES
+
+
+def cache_arrays(system) -> list[CacheArray]:
+    """Every :class:`CacheArray` held by the system's components."""
+    found: dict[int, CacheArray] = {}
+
+    def visit(value) -> None:
+        if isinstance(value, CacheArray):
+            found[id(value)] = value
+        elif isinstance(value, list):
+            for item in value:
+                visit(item)
+
+    for field in vars(system).values():
+        for component in field if isinstance(field, list) else [field]:
+            for value in getattr(component, "__dict__", {}).values():
+                visit(value)
+    return list(found.values())
+
+
+def materialized(array: CacheArray) -> set[int]:
+    return {slot for slot, view in enumerate(array._views) if view is not None}
 
 
 class TestGeometry:
@@ -126,6 +154,60 @@ class TestReplacementIntegration:
         array.install(addr_of(0), state="S")
         array.choose_victim(addr_of(1))
         assert array.lookup(addr_of(0)) is not None
+
+
+class TestLazyViews:
+    """Line views are built on first hand-out, so construction is
+    O(touched lines), not O(capacity)."""
+
+    def test_building_a_system_materializes_no_view(self):
+        system = build_system(SystemConfig.ryzen_2200g(policy=SHARER_TRACKING))
+        arrays = cache_arrays(system)
+        # L1s/L2s, TCPs, TCC, SQC, LLC and the precise directory cache
+        assert len(arrays) > 10
+        assert sum(len(array) for array in arrays) > 262_144
+        assert all(not materialized(array) for array in arrays)
+
+    def test_litmus_run_materializes_only_installed_slots(self, monkeypatch):
+        installed: dict[int, set[int]] = {}
+        install = CacheArray.install
+
+        def recording_install(self, addr, *args, **kwargs):
+            line, evicted = install(self, addr, *args, **kwargs)
+            installed.setdefault(id(self), set()).add(line._slot)
+            return line, evicted
+
+        monkeypatch.setattr(CacheArray, "install", recording_install)
+        systems = []
+        outcome = run_litmus(
+            get_litmus("vicdirty_race"), SHARER_TRACKING,
+            Schedule(0, dir_entries=2), "sharers", mutate_system=systems.append,
+        )
+        assert outcome.ok, outcome.describe()
+        arrays = cache_arrays(systems[0])
+        assert sum(len(materialized(array)) for array in arrays) > 0
+        for array in arrays:
+            views = materialized(array)
+            assert views <= installed.get(id(array), set())
+            # a valid slot always has its view already
+            assert set(array._index.values()) <= views
+
+    def test_view_identity_is_stable_across_hand_outs(self):
+        array = CacheArray(num_sets=2, ways=2)
+        assert not materialized(array)
+        victim = array.choose_victim(addr_of(1))
+        assert materialized(array) == {victim._slot}
+        line, _ = array.install(addr_of(1), state="S")
+        assert line is victim
+        assert array.lookup(addr_of(1)) is line
+        assert array.view(array.find(addr_of(1))) is line
+        (only,) = array.iter_valid()
+        assert only is line
+        again, _ = array.install(addr_of(1), state="M")
+        assert again is line
+        array.invalidate(addr_of(1))
+        assert array.choose_victim(addr_of(1)) is line
+        assert materialized(array) == {line._slot}
 
 
 class TestProperties:
