@@ -20,9 +20,16 @@ Timed benchmarks plus a machine-speed calibration score:
 - ``system_build`` — ``build_system`` for the ``small`` and ``ryzen_2200g``
   configs with the sharer-tracking directory (262,144 entries in Table II);
   its score is the geometric mean of the two builds/sec rates.
+- ``fuzz_campaign`` — one coverage-guided fuzz campaign (seed 0, budget
+  150, the default policies) on 2 worker processes; its score is search
+  runs/sec, so it covers the worker pool, pool start-up and corpus
+  shrinking as well as the simulator.
 - ``calibration`` — a fixed pure-Python integer loop, used to normalize
   events/sec across machines of different speeds (the CI perf gate
-  compares *calibrated* ratios, not absolute numbers).
+  compares *calibrated* ratios, not absolute numbers).  One block runs
+  before the first benchmark and one after each, and the report keeps
+  their median: a single block swung by up to ±20% between back-to-back
+  suites, more than the rates it normalizes.
 
 ``run_suite`` returns a JSON-serializable report; ``main`` writes it to
 ``BENCH_kernel.json`` (or ``--output``).  The committed ``BENCH_kernel.json``
@@ -34,8 +41,10 @@ from __future__ import annotations
 import argparse
 import json
 import pathlib
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -49,6 +58,7 @@ from repro.sim.event_queue import EventQueue, Simulator  # noqa: E402
 from repro.sim.network import Network  # noqa: E402
 from repro.system.builder import build_system  # noqa: E402
 from repro.system.config import SystemConfig  # noqa: E402
+from repro.verify.fuzz.campaign import run_campaign  # noqa: E402
 from repro.workloads.registry import get_workload  # noqa: E402
 
 #: bump when a benchmark's definition changes (invalidates old baselines).
@@ -59,14 +69,17 @@ from repro.workloads.registry import get_workload  # noqa: E402
 #: alloc_pooling (pooled banked-memory churn) added.
 #: v4: system_build (small + ryzen_2200g with sharer tracking) added; cache
 #: line views and directory entry slots became lazily allocated.
-SUITE_VERSION = 4
+#: v5: calibration became the median of interleaved blocks; fuzz_campaign
+#: (budget 150 at 2 jobs on one shared worker pool) added.
+SUITE_VERSION = 5
 
 
 # -- calibration -----------------------------------------------------------
 
 
 def calibration_score(loops: int = 2_000_000) -> float:
-    """Machine-speed proxy: fixed integer-arithmetic loop, ops/sec."""
+    """Machine-speed proxy: fixed integer-arithmetic loop, ops/sec (one
+    calibration block)."""
     start = time.perf_counter()
     acc = 0
     for i in range(loops):
@@ -322,10 +335,35 @@ def bench_system_build(builds: int = 10) -> dict:
     }
 
 
+# -- fuzz campaign ----------------------------------------------------------
+
+
+def bench_fuzz_campaign(budget: int = 150, jobs: int = 2) -> dict:
+    """One fuzz campaign into a fresh corpus, timed end to end."""
+    corpus_dir = tempfile.mkdtemp(prefix="kernel-perf-fuzz-")
+    try:
+        start = time.perf_counter()
+        result = run_campaign(0, budget, corpus_dir, jobs=jobs)
+        elapsed = time.perf_counter() - start
+    finally:
+        shutil.rmtree(corpus_dir, ignore_errors=True)
+    return {
+        "budget": budget,
+        "jobs": jobs,
+        "runs": result.runs,
+        "entries": result.new_entries,
+        "failures": len(result.failures),
+        "corpus_digest": result.corpus_digest,
+        "seconds": elapsed,
+        "runs_per_sec": result.runs / elapsed,
+    }
+
+
 # -- suite ------------------------------------------------------------------
 
 #: the throughput each benchmark is scored (and gated) on
-_RATE_KEY = {"system_build": "builds_per_sec"}
+_RATE_KEY = {"system_build": "builds_per_sec",
+             "fuzz_campaign": "runs_per_sec"}
 
 
 def rate_of(name: str, bench: dict) -> float:
@@ -348,36 +386,44 @@ def run_suite(quick: bool = False, repeats: int = 3) -> dict:
     # borderline against the committed full-mode baseline.
     slice_scale = 1.0
 
+    blocks = [calibration_score()]
+
     def best(fn, *args, key: str):
         runs = [fn(*args) for _ in range(repeats)]
+        blocks.append(calibration_score())
         return max(runs, key=lambda r: r[key])
 
+    benchmarks = {
+        "event_queue": best(bench_event_queue, eq_n, key="events_per_sec"),
+        "event_queue_calendar": best(
+            bench_event_queue_calendar, eq_n, key="events_per_sec",
+        ),
+        "alloc_pooling": best(
+            bench_alloc_pooling, mem_n, key="events_per_sec",
+        ),
+        "network": best(bench_network, net_n, key="messages_per_sec"),
+        "network_contended": best(
+            bench_network_contended, net_n, key="messages_per_sec",
+        ),
+        "figure_slice": best(
+            bench_figure_slice, "cedd", "baseline", slice_scale,
+            key="events_per_sec",
+        ),
+        "system_build": best(
+            bench_system_build, build_n, key="builds_per_sec",
+        ),
+        # full budget even in quick mode: pool start-up is amortized over
+        # the campaign, so a smaller one would score systematically lower
+        "fuzz_campaign": best(bench_fuzz_campaign, key="runs_per_sec"),
+    }
     report = {
         "suite_version": SUITE_VERSION,
         "quick": quick,
         "repeats": repeats,
         "python": sys.version.split()[0],
-        "calibration_ops_per_sec": calibration_score(),
-        "benchmarks": {
-            "event_queue": best(bench_event_queue, eq_n, key="events_per_sec"),
-            "event_queue_calendar": best(
-                bench_event_queue_calendar, eq_n, key="events_per_sec",
-            ),
-            "alloc_pooling": best(
-                bench_alloc_pooling, mem_n, key="events_per_sec",
-            ),
-            "network": best(bench_network, net_n, key="messages_per_sec"),
-            "network_contended": best(
-                bench_network_contended, net_n, key="messages_per_sec",
-            ),
-            "figure_slice": best(
-                bench_figure_slice, "cedd", "baseline", slice_scale,
-                key="events_per_sec",
-            ),
-            "system_build": best(
-                bench_system_build, build_n, key="builds_per_sec",
-            ),
-        },
+        "calibration_ops_per_sec": statistics.median(blocks),
+        "calibration_blocks": blocks,
+        "benchmarks": benchmarks,
     }
     cal = report["calibration_ops_per_sec"]
     for name, bench in report["benchmarks"].items():
@@ -390,9 +436,9 @@ def gate(fresh: dict, baseline: dict, tolerance: float = 0.30) -> list[str]:
 
     Returns a list of human-readable failures (empty = pass).  Scores are
     calibration-normalized so a slower CI machine does not trip the gate;
-    a benchmark fails when its calibrated rate (events/sec, or builds/sec
-    for ``system_build``) drops more than ``tolerance`` below the
-    baseline's.
+    a benchmark fails when its calibrated rate (events/sec; builds/sec for
+    ``system_build``, runs/sec for ``fuzz_campaign``) drops more than
+    ``tolerance`` below the baseline's.
     """
     failures: list[str] = []
     if baseline.get("suite_version") != fresh.get("suite_version"):

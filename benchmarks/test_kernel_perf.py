@@ -2,11 +2,13 @@
 
 Times the simulation kernel — raw event-queue dispatch, the fabric
 message path (flat and contended), one real figure-pipeline cell — plus
-system construction (``system_build``), and emits
+system construction (``system_build``) and a 2-job fuzz campaign
+(``fuzz_campaign``), and emits
 ``BENCH_kernel.json`` at the repo root (override with ``$REPRO_BENCH_OUT``).
 The committed ``BENCH_kernel.json`` is the perf-trajectory baseline; the CI
 perf-smoke job re-runs this suite and fails on a >30% calibrated
-events/sec (builds/sec for ``system_build``) regression (see
+events/sec (builds/sec for ``system_build``, runs/sec for
+``fuzz_campaign``) regression (see
 ``benchmarks/kernel_perf.py --gate``).
 
 Quick mode (``REPRO_BENCH_QUICK=1``, used by CI) shrinks the workloads but
@@ -85,6 +87,20 @@ def test_system_build_rate_is_sane(report):
     assert bench["calibrated_score"] == pytest.approx(
         bench["builds_per_sec"] / report["calibration_ops_per_sec"]
     )
+
+
+def test_fuzz_campaign_row_is_sane(report):
+    bench = report["benchmarks"]["fuzz_campaign"]
+    assert bench["runs"] == bench["budget"] == 150
+    assert bench["failures"] == 0 and bench["entries"] > 0
+    assert bench["runs_per_sec"] > 0
+
+
+def test_calibration_is_the_median_of_its_blocks(report):
+    blocks = report["calibration_blocks"]
+    # one block before the first benchmark and one after each
+    assert len(blocks) == len(report["benchmarks"]) + 1
+    assert min(blocks) <= report["calibration_ops_per_sec"] <= max(blocks)
 
 
 def test_report_is_gateable(report):

@@ -426,15 +426,23 @@ class TransitionCoverage(TransitionHook):
     signal the litmus fuzzer (``repro fuzz``) steers by.
     """
 
-    __slots__ = ("seen",)
+    __slots__ = ("_raw",)
 
     def __init__(self) -> None:
-        self.seen: set[tuple[str, str, str]] = set()
+        # ``(table name, raw state, event)``: labelling is deferred to
+        # :attr:`seen`, off the per-transition path
+        self._raw: set[tuple] = set()
 
     def on_transition(self, controller, addr, state, event, next_state,
                       table=None) -> None:
-        name = table.name if table is not None else type(controller).__name__
-        self.seen.add((name, state_label(state), event))
+        self._raw.add((table.name if table is not None
+                       else type(controller).__name__, state, event))
+
+    @property
+    def seen(self) -> set[tuple[str, str, str]]:
+        """The covered ``(table_name, state, event)`` rows."""
+        return {(name, state_label(state), event)
+                for name, state, event in self._raw}
 
     def attach(self, *controllers) -> "TransitionCoverage":
         for controller in controllers:

@@ -459,6 +459,11 @@ class CorePair(Controller):
         msg, pending = ctx
         self._ack(msg, data=pending.data if pending.dirty else None,
                   dirty=pending.dirty, had_copy=True, from_victim=True)
+        if msg.probe_type is ProbeType.INVALIDATE:
+            # The dirty data (and write-back duty) left with this ack; a
+            # later probe in the same episode must not ack it again.  A
+            # downgrade leaves this buffer the owner, so it stays dirty.
+            pending.dirty = False
         return VIC_PENDING
 
     def _act_probe_miss(self, ctx: tuple) -> MoesiState:

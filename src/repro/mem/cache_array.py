@@ -13,9 +13,8 @@ object per line.  Controllers keep the object-style API: :meth:`lookup` and
 friends hand out a per-slot :class:`_LineView` whose attributes read and
 write the planes, so ``line.state = X`` works exactly as before.  A slot's
 view is built the first time the array hands the slot out, so building an
-array costs a few flat lists, not one object per line.  Hot paths can skip
-the view entirely with the index API (:meth:`find`, :meth:`find_touch` plus
-the plane lists), turning lookup/touch/state-update into dict-get + list
+array costs a few flat lists, not one object per line.  An address maps to
+its slot through one dict (``_index``), so a lookup is a dict get plus list
 indexing.
 
 Replacement: arrays built with the default :class:`TreePLRU` keep the whole
@@ -262,25 +261,6 @@ class CacheArray:
     def set_index(self, addr: int) -> int:
         return (addr // LINE_BYTES) % self.num_sets
 
-    def find(self, addr: int) -> int:
-        """Flat slot index of the valid line holding ``addr``, or -1."""
-        slot = self._index.get(addr)
-        return -1 if slot is None else slot
-
-    def find_touch(self, addr: int) -> int:
-        """:meth:`find` plus a replacement touch on hit — the fused hot-path
-        lookup (one dict get and one masked or for Tree-PLRU arrays)."""
-        slot = self._index.get(addr)
-        if slot is None:
-            return -1
-        plru = self._plru
-        if plru is not None:
-            set_idx = slot // self.ways
-            plru[set_idx] = (plru[set_idx] & self._touch_and[slot]) | self._touch_or[slot]
-        else:
-            self._repl[slot // self.ways].touch(slot % self.ways)
-        return slot
-
     def lookup(self, addr: int, touch: bool = True) -> "_LineView | None":
         """The valid line holding ``addr``, or None."""
         slot = self._index.get(addr)
@@ -298,7 +278,7 @@ class CacheArray:
         return self._views[slot]
 
     def view(self, slot: int) -> "_LineView":
-        """The live view for a flat slot index (pairs with :meth:`find`)."""
+        """The live view for a flat slot index, built on first use."""
         view = self._views[slot]
         if view is None:
             view = self._views[slot] = _LineView(self, slot)
@@ -393,8 +373,9 @@ class CacheArray:
         caller is responsible for acting on the eviction (write-back,
         back-invalidation, ...).
         """
-        slot = self.find_touch(addr)
-        if slot >= 0:
+        slot = self._index.get(addr)
+        if slot is not None:
+            self.touch_slot(slot)
             self._state[slot] = state
             if data is not None:
                 self._data[slot] = data

@@ -5,9 +5,10 @@
 
 - :func:`run_cell_inline` / :func:`run_inline` — the serial in-process
   reference path;
-- :func:`pool_map` — fan-out over a :class:`ProcessPoolExecutor` with a
-  per-item timeout (SIGALRM inside the worker, where available) and
-  bounded retries for crashed *or* timed-out items;
+- :class:`WorkerPool` — a :class:`ProcessPoolExecutor` that outlives one
+  batch, with a per-item timeout (SIGALRM inside the worker, where
+  available) and bounded retries for crashed *or* timed-out items;
+  :func:`pool_map` is its one-shot form;
 - :func:`cell_payload` / :func:`litmus_payload` and their worker entry
   points — what crosses the process boundary.
 
@@ -24,7 +25,8 @@ import pickle
 import signal
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from typing import Callable, Sequence
 
@@ -134,6 +136,175 @@ def run_inline(
         )
 
 
+class _Task:
+    """One item on a :class:`WorkerPool`: its payload, live future and
+    attempt count."""
+
+    __slots__ = ("batch", "index", "payload", "future", "seq", "attempts")
+
+    def __init__(self, batch: "PoolBatch", index: int, payload: dict) -> None:
+        self.batch = batch
+        self.index = index
+        self.payload = payload
+        self.future = None
+        self.seq = 0
+        self.attempts = 0
+
+
+class PoolBatch:
+    """Items submitted together to a :class:`WorkerPool`.
+
+    :meth:`wait` collects them in submission order.  Each unique item
+    reports one ``done/total`` line, however often it was retried.
+    """
+
+    def __init__(self, pool: "WorkerPool", worker: Callable[[dict], dict],
+                 labels: dict, decode: Callable[[dict], object],
+                 timeout_s: float | None, retries: int,
+                 emit: Callable[[str], None]) -> None:
+        self.pool = pool
+        self.worker = worker
+        self.labels = labels
+        self.decode = decode
+        self.timeout_s = timeout_s
+        self.retries = retries
+        self.emit = emit
+        self.tasks: list[_Task] = []
+
+    def wait(self, results: list) -> None:
+        """Block until every item is done, decoding each answer into
+        ``results[index]``; raises :class:`CellError` for an item that
+        used up its retries."""
+        total = len(self.tasks)
+        for done, task in enumerate(self.tasks, 1):
+            results[task.index] = self.decode(self.pool._settle(task))
+            self.emit(f"[runner] {done}/{total} {self.labels[task.index]}: "
+                      "simulated on pool")
+        # tasks point back at their batch: break the cycle, so the
+        # payloads and answers are freed now, not at the next GC pass
+        self.tasks.clear()
+
+
+class WorkerPool:
+    """A process pool that outlives one batch, with retry on crash/timeout.
+
+    :meth:`submit` queues a batch and returns at once, so a caller can
+    keep the workers busy with later batches while it consumes earlier
+    ones.  An item whose worker raises (including :class:`CellTimeout`)
+    is charged one attempt and resubmitted.  A worker that *dies* breaks
+    the whole executor, failing every item still on it: the executor is
+    replaced and every such item resubmitted, but only the oldest
+    ``jobs`` of them can have been running (workers take items in
+    submission order), so only those are charged an attempt.  Each charge
+    emits one ``retry`` line; an item charged more than ``retries`` times
+    raises :class:`CellError`.
+
+    The executor is built through this module's ``ProcessPoolExecutor``
+    attribute at first use, so a patched constructor is the one called.
+    """
+
+    def __init__(self, jobs: int) -> None:
+        self.jobs = jobs
+        self._executor = None
+        self._seq = 0
+        self._inflight: set[_Task] = set()
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the workers down, dropping queued items."""
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+
+    def submit(self, worker: Callable[[dict], dict], payloads: dict,
+               labels: dict, decode: Callable[[dict], object],
+               timeout_s: float | None, retries: int,
+               emit: Callable[[str], None]) -> PoolBatch:
+        """Queue ``payloads`` (index -> worker payload) behind everything
+        already submitted; ``batch.wait(results)`` collects them."""
+        batch = PoolBatch(self, worker, labels, decode, timeout_s, retries,
+                          emit)
+        for index, payload in payloads.items():
+            task = _Task(batch, index, payload)
+            batch.tasks.append(task)
+            self._start(task)
+        return batch
+
+    def _start(self, task: _Task) -> None:
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.jobs)
+        try:
+            future = self._executor.submit(task.batch.worker, task.payload)
+        except BrokenProcessPool:  # broke since the last look
+            self._restart()
+            future = self._executor.submit(task.batch.worker, task.payload)
+        self._seq += 1
+        task.seq = self._seq
+        task.future = future
+        self._inflight.add(task)
+
+    def _settle(self, task: _Task) -> dict:
+        """The worker's answer for ``task``, retrying it as needed."""
+        while True:
+            try:
+                answer = task.future.result()
+            except BrokenProcessPool:
+                self._restart()
+            except Exception as exc:  # the worker raised (or timed out)
+                self._charge(task, exc)
+                self._start(task)
+            else:
+                self._inflight.discard(task)
+                task.future = task.payload = None
+                return answer
+
+    def _restart(self) -> None:
+        """Replace a broken executor and resubmit what it failed."""
+        if self._executor is not None:
+            # joins the executor's manager thread: every item still on
+            # the broken executor has failed once this returns
+            self._executor.shutdown(wait=True)
+            self._executor = None
+        failed = sorted(
+            (task for task in self._inflight
+             if task.future.done() and not task.future.cancelled()
+             and isinstance(task.future.exception(), BrokenProcessPool)),
+            key=lambda task: task.seq,
+        )
+        # off the books first: should the new executor break during the
+        # resubmission, its suspects are the items already on it
+        self._inflight.difference_update(failed)
+        for task in failed[:self.jobs]:
+            self._charge(task, task.future.exception())
+        for task in failed:
+            self._start(task)
+
+    def _charge(self, task: _Task, exc: BaseException) -> None:
+        """Count one failed attempt; raise once retries are used up."""
+        batch = task.batch
+        label = batch.labels[task.index]
+        task.attempts += 1
+        timed_out = isinstance(exc, CellTimeout)
+        if task.attempts > batch.retries:
+            if timed_out:
+                raise CellError(
+                    f"cell {label} timed out after "
+                    f"{batch.timeout_s}s ({task.attempts} attempt(s))"
+                ) from exc
+            raise CellError(
+                f"cell {label} failed after "
+                f"{task.attempts} attempt(s): {exc}"
+            ) from exc
+        reason = "timed out" if timed_out else f"crashed ({type(exc).__name__})"
+        batch.emit(f"[runner] {label}: {reason}, "
+                   f"retry {task.attempts}/{batch.retries}")
+
+
 def pool_map(
     worker: Callable[[dict], dict],
     payloads: dict,
@@ -146,54 +317,15 @@ def pool_map(
     retries: int,
     emit: Callable[[str], None],
 ) -> None:
-    """Generic process-pool fan-out with retry on crash/timeout.
+    """One-shot fan-out of ``pending`` over a private :class:`WorkerPool`.
 
     ``payloads``/``labels`` map each pending index to the worker payload
     and its progress label; ``decode`` turns each worker answer back into
-    the caller's result type.  Progress accounting counts each *unique*
-    item exactly once: an item that times out or crashes and then
-    succeeds on retry contributes one ``done/total`` line, and ``total``
-    never inflates with re-attempts.
+    the caller's result type.
     """
-    attempts = dict.fromkeys(pending, 0)
-    done = 0
-    total = len(pending)
-    queue = list(pending)
-    while queue:
-        # A fresh pool per round also recovers from BrokenProcessPool.
-        with ProcessPoolExecutor(max_workers=min(jobs, len(queue))) as pool:
-            futures = {pool.submit(worker, payloads[i]): i for i in queue}
-            queue = []
-            for future in as_completed(futures):
-                index = futures[future]
-                label = labels[index]
-                try:
-                    results[index] = decode(future.result())
-                except Exception as exc:  # timeout, crash, BrokenProcessPool
-                    attempts[index] += 1
-                    timed_out = isinstance(exc, CellTimeout)
-                    if attempts[index] > retries:
-                        if timed_out:
-                            raise CellError(
-                                f"cell {label} timed out after "
-                                f"{timeout_s}s ({attempts[index]} attempt(s))"
-                            ) from exc
-                        raise CellError(
-                            f"cell {label} failed after "
-                            f"{attempts[index]} attempt(s): {exc}"
-                        ) from exc
-                    reason = (
-                        "timed out" if timed_out
-                        else f"crashed ({type(exc).__name__})"
-                    )
-                    emit(
-                        f"[runner] {label}: {reason}, "
-                        f"retry {attempts[index]}/{retries}"
-                    )
-                    queue.append(index)
-                else:
-                    done += 1
-                    emit(f"[runner] {done}/{total} {label}: simulated on pool")
+    with WorkerPool(min(jobs, len(pending))) as pool:
+        pool.submit(worker, {index: payloads[index] for index in pending},
+                    labels, decode, timeout_s, retries, emit).wait(results)
 
 
 # -- litmus fan-out -------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every consumer (figures, sweeps, benchmarks, the litmus fan-out, the fuzz
 campaign, the CLI) resolves its items here instead of carrying private
-caching logic.  Every entry point (including :func:`minimize_entries`,
+caching logic.  Every entry point (including :func:`submit_entries`,
 which shrinks a fuzz campaign's new corpus entries) runs the same loop
 over a small per-kind description (:class:`_Kind`):
 
@@ -10,10 +10,14 @@ over a small per-kind description (:class:`_Kind`):
    items without simulating;
 2. **in-batch dedup** — items with the same content-addressed key are
    simulated once, with or without a store;
-3. **execution** — the rest runs inline (``jobs=1`` or a single item) or
-   on a local process pool; an item whose payload cannot cross the
-   process boundary runs inline instead;
-4. **store put** — every fresh result is written back.
+3. **execution** — the rest runs inline (``jobs=1`` or a single item), on
+   a one-shot local process pool, or — for :func:`submit_litmus` and
+   :func:`submit_entries` — is queued on a caller-owned
+   :class:`~repro.runner.executor.WorkerPool`, and the call returns a
+   pending :class:`Resolution` at once; an item whose payload cannot cross
+   the process boundary runs inline instead;
+4. **store put** — every fresh result is written back once it is in
+   (:meth:`Resolution.result`).
 
 Results round-trip exactly through :mod:`repro.system.serialize`, and the
 simulator is deterministic, so every path is bit-identical.
@@ -56,6 +60,42 @@ class _Kind:
     decode: Callable[[dict], object]
     #: progress label of an item
     label: Callable[[object], str]
+    #: ``(items, results) -> results`` as handed back to the caller
+    finish: Callable[[Sequence, list], list] = lambda _items, results: results
+
+
+class Resolution:
+    """The results of one resolve call, in input order, from :meth:`result`.
+
+    Without a caller-owned pool every miss has already run by the time
+    this exists.  On a caller-owned :class:`~repro.runner.executor.WorkerPool`
+    the misses are still queued there: :meth:`result` waits for them, then
+    writes them back to the store.
+    """
+
+    def __init__(self, kind: _Kind, items: Sequence, store, keys: list,
+                 results: list, pending: list[int],
+                 duplicates: list[tuple[int, int]], batch) -> None:
+        self._kind = kind
+        self._items = items
+        self._store = store
+        self._keys = keys
+        self._results = results
+        self._pending = pending
+        self._duplicates = duplicates
+        self._batch = batch
+
+    def result(self) -> list:
+        results = self._results
+        if self._batch is not None:
+            self._batch.wait(results)
+        if self._store is not None:
+            for index in self._pending:
+                self._kind.put(self._store, self._keys[index],
+                               self._items[index], results[index])
+        for index, source in self._duplicates:
+            results[index] = results[source]
+        return self._kind.finish(self._items, results)
 
 
 def _resolve(
@@ -66,8 +106,10 @@ def _resolve(
     timeout_s: float | None,
     retries: int | None,
     emit: Callable[[str], None],
-) -> list:
-    """The one resolution loop: lookup, dedup, execute, put, copy."""
+    pool=None,
+) -> Resolution:
+    """The one resolution loop: lookup, dedup, execute (or queue on
+    ``pool``); :meth:`Resolution.result` puts and copies."""
     total = len(items)
     results: list = [None] * total
     keys = [kind.key(item) for item in items]
@@ -89,19 +131,15 @@ def _resolve(
         first_by_key[key] = index
         pending.append(index)
 
+    batch = None
     if pending:
-        _execute(kind, items, pending, results, executor.effective_jobs(jobs),
-                 timeout_s,
-                 executor.DEFAULT_RETRIES if retries is None else retries,
-                 emit)
-
-    if store is not None:
-        for index in pending:
-            kind.put(store, keys[index], items[index], results[index])
-
-    for index, source in duplicates:
-        results[index] = results[source]
-    return results
+        batch = _execute(
+            kind, items, pending, results, executor.effective_jobs(jobs),
+            timeout_s,
+            executor.DEFAULT_RETRIES if retries is None else retries,
+            emit, pool)
+    return Resolution(kind, items, store, keys, results, pending, duplicates,
+                      batch)
 
 
 def _execute(
@@ -113,11 +151,14 @@ def _execute(
     timeout_s: float | None,
     retries: int,
     emit: Callable[[str], None],
-) -> None:
-    """Run ``pending`` inline, or over a pool with retry on crash/timeout."""
-    if jobs <= 1 or len(pending) == 1:
+    pool=None,
+):
+    """Run ``pending`` inline or over a one-shot pool, or queue it on the
+    caller's ``pool`` and return the batch to wait for.  Items that cannot
+    cross the process boundary run inline either way."""
+    if pool is None and (jobs <= 1 or len(pending) == 1):
         kind.run_inline(items, pending, results, emit)
-        return
+        return None
     payloads: dict[int, dict] = {}
     for index in pending:
         payload = kind.payload(items[index], timeout_s)
@@ -128,8 +169,12 @@ def _execute(
         else:
             payloads[index] = payload
     labels = {index: kind.label(items[index]) for index in payloads}
+    if pool is not None:
+        return pool.submit(kind.worker, payloads, labels, kind.decode,
+                           timeout_s, retries, emit)
     executor.pool_map(kind.worker, payloads, labels, list(payloads), results,
                       kind.decode, jobs, timeout_s, retries, emit)
+    return None
 
 
 # -- cells ----------------------------------------------------------------------
@@ -162,7 +207,7 @@ def resolve_cells(
     once; the rest fans out over ``jobs`` local workers.
     """
     return _resolve(_CELLS, cells, store, jobs, timeout_s, retries,
-                    progress or (lambda line: None))
+                    progress or (lambda line: None)).result()
 
 
 # -- litmus runs ----------------------------------------------------------------
@@ -222,6 +267,7 @@ def _litmus_kind(max_events: int, coverage: bool, mutate_system) -> _Kind:
         worker=executor.litmus_worker,
         decode=lambda data: harness.outcome_from_dict(data),
         label=lambda run: executor.litmus_run_label(*run),
+        finish=_named,
     )
 
 
@@ -260,9 +306,35 @@ def resolve_litmus(
         results = [None] * len(runs)
         kind.run_inline(runs, range(len(runs)), results, emit)
         return results
-    results = _resolve(kind, runs, store, jobs, timeout_s, retries, emit)
-    # Two policy *names* can map to one key (one policy dict): share the
-    # data, but report the name each caller asked for.
+    return _resolve(kind, runs, store, jobs, timeout_s, retries,
+                    emit).result()
+
+
+def submit_litmus(
+    runs: Sequence[tuple],
+    pool,
+    store=None,
+    timeout_s: float | None = None,
+    retries: int | None = None,
+    progress: Callable[[str], None] | None = None,
+    max_events: int | None = None,
+    coverage: bool = False,
+) -> Resolution:
+    """:func:`resolve_litmus` on a caller-owned
+    :class:`~repro.runner.executor.WorkerPool`: the misses are queued there
+    and this returns at once; ``.result()`` gives the outcomes."""
+    from repro.verify.litmus import harness
+
+    if max_events is None:
+        max_events = harness.LITMUS_MAX_EVENTS
+    return _resolve(_litmus_kind(max_events, coverage, None), runs, store,
+                    None, timeout_s, retries, progress or (lambda line: None),
+                    pool)
+
+
+def _named(runs: Sequence[tuple], results: list) -> list:
+    """Two policy *names* can map to one key (one policy dict): share the
+    data, but report the name each caller asked for."""
     return [
         outcome if outcome.policy == policy_name
         else dataclasses.replace(outcome, policy=policy_name)
@@ -305,21 +377,23 @@ def _entry_label(entry) -> str:
     return f"shrink {entry.test.get('name', '?')}@{entry.policy}"
 
 
-def minimize_entries(
+def submit_entries(
     entries: Sequence,
     max_runs: int,
-    jobs: int | None = None,
+    pool=None,
     progress: Callable[[str], None] | None = None,
-) -> list:
-    """Shrink fuzz corpus entries, returning the shrunk entries in input
-    order.
+) -> Resolution:
+    """Shrink fuzz corpus entries; ``.result()`` gives the shrunk entries
+    in input order.
 
-    Each shrink is a pure function of its entry, so entries fan out over
-    ``jobs`` local workers exactly like litmus runs (inline at one job or
-    one entry) and the results do not depend on the job count.
+    Without ``pool`` the shrinks run inline; on a caller-owned
+    :class:`~repro.runner.executor.WorkerPool` they are queued there and
+    this returns at once.  Each shrink is a pure function of its entry, so
+    the results do not depend on where they ran.
     """
-    return _resolve(_entry_kind(max_runs), entries, None, jobs, None, None,
-                    progress or (lambda line: None))
+    return _resolve(_entry_kind(max_runs), entries, None, 1, None, None,
+                    progress or (lambda line: None), pool)
 
 
-__all__ = ["minimize_entries", "resolve_cells", "resolve_litmus"]
+__all__ = ["Resolution", "resolve_cells", "resolve_litmus", "submit_entries",
+           "submit_litmus"]

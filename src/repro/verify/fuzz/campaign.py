@@ -15,14 +15,22 @@ Outcomes are processed strictly in input order:
   counted, not re-minimized).
 
 Once the whole batch is folded, its new entries are shrunk with the
-coverage-preserving ddmin on the same worker pool as the search
-(:func:`minimize_entries`; a shrink depends only on its entry, and
-coverage only on search outcomes, so the corpus does not depend on the
-job count) and added to the corpus in input order.
+coverage-preserving ddmin (:func:`submit_entries`; a shrink depends only
+on its entry, and coverage only on search outcomes, so the corpus does
+not depend on the job count) and added to the corpus in input order.
+
+At ``jobs=1`` every batch searches, folds and shrinks inline, one after
+the other.  At ``jobs > 1`` one :class:`WorkerPool` serves the whole
+campaign as a pipeline: search batch *k+1* is queued before the campaign
+blocks on batch *k* (at most :data:`SEARCH_LOOKAHEAD` search batches in
+flight, which bounds the outcomes held in memory), and batch *k*'s
+entries are queued for shrinking as soon as *k* is folded, behind the
+search already queued, so the workers never drain at a batch boundary.
 
 The coverage state persists as ``<corpus>/coverage.json`` after every
-batch, once the batch's entries are on disk, so an interrupted campaign
-resumes by simply re-running: warm iterations come back from the store,
+batch — the snapshot taken when the batch was folded, written only once
+the batch's entries are on disk — so an interrupted campaign resumes by
+simply re-running: warm iterations come back from the store,
 already-claimed rows add no corpus entries, and the walk continues where
 it stopped.
 """
@@ -32,7 +40,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from collections import deque
 from dataclasses import dataclass, field
+
+from repro.runner.executor import WorkerPool, effective_jobs
 
 # ``minimize_entry`` is looked up on this module by the inline shrink
 # (``jobs=1`` or a one-entry batch), so a patched binding is the one run.
@@ -42,6 +53,9 @@ from repro.verify.fuzz.generate import generate_case, profile_for_targets
 
 #: programs per resolve_litmus batch (each fans out over the policies)
 BATCH_PROGRAMS = 25
+
+#: search batches queued on the worker pool at once (``jobs > 1``)
+SEARCH_LOOKAHEAD = 2
 
 #: default shrink budgets (shrink candidates each)
 MINIMIZE_RUNS = 120
@@ -123,6 +137,7 @@ def run_campaign(
     Each batch's new corpus entries are shrunk together on the ``jobs``
     worker pool after the batch's outcomes are folded; failures are
     shrunk inline under the same ``max_events`` cap as the search.
+    ``jobs=None`` means one worker per CPU.
 
     ``mutate_system`` injects a protocol fault into every run (and every
     shrink candidate); it forces inline execution and disables both the
@@ -135,7 +150,7 @@ def run_campaign(
     schedules toward the named rows, and the result reports which
     targets any policy hit.
     """
-    from repro.store.resolve import minimize_entries, resolve_litmus
+    from repro.store.resolve import resolve_litmus, submit_entries, submit_litmus
     from repro.verify.litmus.harness import LITMUS_MAX_EVENTS
     from repro.verify.litmus.minimize import (
         artifact_to_dict,
@@ -168,28 +183,18 @@ def run_campaign(
     result.iterations = iterations
     minimized_failures: set[tuple[str, str]] = set()
 
-    for batch_start in _chunks(range(iterations), BATCH_PROGRAMS):
-        cases = [
-            generate_case(seed, iteration, profile)
-            for iteration in batch_start
-        ]
-        runs = [
+    def batch_runs(batch) -> list[tuple]:
+        cases = [generate_case(seed, iteration, profile) for iteration in batch]
+        return [
             (test, policy, schedule)
             for test, schedule in cases
             for policy in policies
         ]
-        outcomes = resolve_litmus(
-            runs,
-            store=None if fault_mode else store,
-            jobs=jobs,
-            timeout_s=timeout_s,
-            progress=progress,
-            coverage=True,
-            max_events=max_events,
-            mutate_system=mutate_system,
-        )
-        result.runs += len(runs)
 
+    def fold(runs, outcomes) -> list[CorpusEntry]:
+        """Merge one batch's coverage and minimize its failures; returns
+        the batch's fresh corpus entries, unshrunk."""
+        result.runs += len(runs)
         fresh_entries = []
         for (test, policy, schedule), outcome in zip(runs, outcomes):
             fresh = state.add(policy, outcome.coverage or ())
@@ -218,13 +223,68 @@ def run_campaign(
                     test, schedule, policy, fresh,
                     seed=seed, iteration=_iteration_of(test),
                 ))
-        for entry in minimize_entries(fresh_entries, minimize_runs,
-                                      jobs=jobs, progress=progress):
+        return fresh_entries
+
+    def store_entries(shrinks, snapshot) -> None:
+        """Add one batch's shrunk entries, then its coverage snapshot."""
+        for entry in shrinks.result():
             if corpus.add(entry):
                 result.new_entries += 1
                 emit(f"[fuzz] corpus += {entry.describe()}")
         if not fault_mode:
-            state.save(coverage_path)
+            CoverageState.write(coverage_path, snapshot)
+
+    batches = _chunks(range(iterations), BATCH_PROGRAMS)
+    if fault_mode or effective_jobs(jobs) == 1:
+        for batch in batches:
+            runs = batch_runs(batch)
+            outcomes = resolve_litmus(
+                runs,
+                store=None if fault_mode else store,
+                jobs=1,
+                timeout_s=timeout_s,
+                progress=progress,
+                coverage=True,
+                max_events=max_events,
+                mutate_system=mutate_system,
+            )
+            store_entries(submit_entries(fold(runs, outcomes), minimize_runs,
+                                         progress=progress),
+                          state.to_json())
+    else:
+        # The pipeline: search batch k+1 is queued before the campaign
+        # blocks on batch k, and batch k's entries are queued for
+        # shrinking as soon as it is folded, so the pool never drains at
+        # a batch boundary.  Folding, corpus adds and coverage snapshots
+        # still go strictly in batch order.
+        with WorkerPool(effective_jobs(jobs)) as pool:
+            searches: deque = deque()
+
+            def queue_searches() -> None:
+                while len(searches) < SEARCH_LOOKAHEAD:
+                    batch = next(batches, None)
+                    if batch is None:
+                        return
+                    runs = batch_runs(batch)
+                    searches.append((runs, submit_litmus(
+                        runs, pool, store=store, timeout_s=timeout_s,
+                        progress=progress, coverage=True,
+                        max_events=max_events,
+                    )))
+
+            queue_searches()
+            shrinking = None  # the previous batch's shrinks and snapshot
+            while searches:
+                runs, search = searches.popleft()
+                fresh_entries = fold(runs, search.result())
+                shrinks = (submit_entries(fresh_entries, minimize_runs, pool,
+                                          progress), state.to_json())
+                queue_searches()
+                if shrinking is not None:
+                    store_entries(*shrinking)
+                shrinking = shrinks
+            if shrinking is not None:
+                store_entries(*shrinking)
 
     if targets:
         covered = set()

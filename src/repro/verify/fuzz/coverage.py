@@ -107,8 +107,13 @@ class CoverageState:
         return state
 
     def save(self, path: str) -> None:
+        self.write(path, self.to_json())
+
+    @staticmethod
+    def write(path: str, data: dict) -> None:
+        """Write a :meth:`to_json` snapshot, possibly of an earlier state."""
         with open(path, "w") as handle:
-            json.dump(self.to_json(), handle, indent=2, sort_keys=True)
+            json.dump(data, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
     @classmethod

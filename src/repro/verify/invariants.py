@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING
 
 from repro.coherence.engine import TransitionHook
 from repro.coherence.precise import PreciseDirectory
+from repro.mem.address import LINE_BYTES
 from repro.protocol.types import DirState, MoesiState
 from repro.sim.event_queue import SimulationError
 
@@ -56,7 +57,12 @@ class CoherenceMonitor(TransitionHook):
         self.raise_on_violation = raise_on_violation
         self.checks_run = 0
         self.violations: list[str] = []
-        for directory in getattr(system, "directories", [system.directory]):
+        # the topology is fixed once built: resolve it here, not per check
+        self._banks = list(getattr(system, "directories", [system.directory]))
+        self._precise = [isinstance(bank, PreciseDirectory) for bank in self._banks]
+        self._corepairs = list(system.corepairs)
+        self._tccs = list(getattr(system, "tccs", [system.tcc]))
+        for directory in self._banks:
             directory.add_fsm_hook(self)
 
     # -- hooks ------------------------------------------------------------------
@@ -71,10 +77,12 @@ class CoherenceMonitor(TransitionHook):
     def check_line(self, addr: int) -> list[str]:
         """Run every invariant for one line; returns (and records) failures."""
         self.checks_run += 1
-        problems: list[str] = []
-        problems.extend(self._check_moesi(addr))
-        if isinstance(self._bank_of(addr), PreciseDirectory):
-            problems.extend(self._check_directory(addr))
+        states = {corepair.name: corepair.peek_state(addr)
+                  for corepair in self._corepairs}
+        problems = self._check_moesi(states)
+        bank = (addr // LINE_BYTES) % len(self._banks)
+        if self._precise[bank]:
+            problems.extend(self._check_directory(addr, self._banks[bank], states))
         if problems:
             self.violations.extend(problems)
             if self.raise_on_violation:
@@ -86,12 +94,12 @@ class CoherenceMonitor(TransitionHook):
     def check_all_tracked(self) -> list[str]:
         """End-of-run sweep over every line any cache or the directory holds."""
         lines: set[int] = set()
-        for corepair in self.system.corepairs:
+        for corepair in self._corepairs:
             lines.update(line.addr for line in corepair.l2.iter_valid())
-        for tcc in self._tccs():
+        for tcc in self._tccs:
             lines.update(line.addr for line in tcc.array.iter_valid())
-        for directory in self._banks():
-            if isinstance(directory, PreciseDirectory):
+        for directory, precise in zip(self._banks, self._precise):
+            if precise:
                 lines.update(
                     line.addr for line in directory.dir_cache.iter_valid()
                 )
@@ -100,28 +108,10 @@ class CoherenceMonitor(TransitionHook):
             problems.extend(self.check_line(addr))
         return problems
 
-    def _banks(self):
-        return getattr(self.system, "directories", [self.system.directory])
-
-    def _tccs(self):
-        return getattr(self.system, "tccs", [self.system.tcc])
-
-    def _bank_of(self, addr: int):
-        banks = self._banks()
-        from repro.mem.address import LINE_BYTES
-
-        return banks[(addr // LINE_BYTES) % len(banks)]
-
     # -- invariant bodies ------------------------------------------------------------
 
-    def _l2_states(self, addr: int) -> dict[str, MoesiState]:
-        return {
-            corepair.name: corepair.peek_state(addr)
-            for corepair in self.system.corepairs
-        }
-
-    def _check_moesi(self, addr: int) -> list[str]:
-        states = self._l2_states(addr)
+    @staticmethod
+    def _check_moesi(states: dict[str, MoesiState]) -> list[str]:
         problems = []
         holders = {name: s for name, s in states.items() if s is not MoesiState.I}
         exclusive = [n for n, s in holders.items() if s in (MoesiState.M, MoesiState.E)]
@@ -138,16 +128,15 @@ class CoherenceMonitor(TransitionHook):
             problems.append(f"O owner {owners[0]} coexists with M/E {exclusive[0]}")
         return problems
 
-    def _check_directory(self, addr: int) -> list[str]:
-        directory: PreciseDirectory = self._bank_of(addr)  # type: ignore[assignment]
+    def _check_directory(self, addr: int, directory: PreciseDirectory,
+                         states: dict[str, MoesiState]) -> list[str]:
         state, entry = directory.snapshot_entry(addr)
         if state is DirState.B:
             return []  # mid-eviction; nothing stable to assert
-        states = self._l2_states(addr)
         holders = {n: s for n, s in states.items() if s is not MoesiState.I}
         tcc_holds = any(
             tcc.array.lookup(addr, touch=False) is not None
-            for tcc in self._tccs()
+            for tcc in self._tccs
         )
         problems = []
         if state is DirState.I:
@@ -196,7 +185,7 @@ class CoherenceMonitor(TransitionHook):
         return []
 
     def _corepair(self, name: str):
-        for corepair in self.system.corepairs:
+        for corepair in self._corepairs:
             if corepair.name == name:
                 return corepair
         return None

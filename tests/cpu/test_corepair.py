@@ -241,6 +241,32 @@ class TestVictims:
         assert ack.dirty
         assert ack.data.word(0) == 7
 
+    def test_second_probe_after_inv_from_victim_buffer_acks_clean(self):
+        """Regression: a PrbInv hands the dirty data and the write-back
+        duty to the prober, so a later probe in the same vic-pending
+        episode must not ack dirty a second time."""
+        h = CorePairHarness(l2_geometry=(128, 2))
+        self.evict_dirty_line_holding_wb_ack(h)
+        h.directory.probe("l2.0", ADDR, ProbeType.INVALIDATE)
+        h.sim.run_for(200_000)
+        h.directory.probe("l2.0", ADDR, ProbeType.INVALIDATE)
+        h.sim.run_for(200_000)
+        first, second = [a for a in h.directory.probe_acks if a.addr == ADDR]
+        assert first.dirty and first.data.word(0) == 7
+        assert second.from_victim and not second.dirty and second.data is None
+
+    def test_downgrade_from_victim_buffer_keeps_it_dirty(self):
+        """A PrbDown leaves the buffer the line's owner: every downgrade
+        in the episode forwards the dirty data."""
+        h = CorePairHarness(l2_geometry=(128, 2))
+        self.evict_dirty_line_holding_wb_ack(h)
+        for _ in range(2):
+            h.directory.probe("l2.0", ADDR, ProbeType.DOWNGRADE)
+            h.sim.run_for(200_000)
+        acks = [a for a in h.directory.probe_acks if a.addr == ADDR]
+        assert len(acks) == 2
+        assert all(a.dirty and a.data.word(0) == 7 for a in acks)
+
     def test_accesses_to_vic_pending_line_wait_for_ack(self):
         h = CorePairHarness(l2_geometry=(128, 2))
         self.evict_dirty_line_holding_wb_ack(h)

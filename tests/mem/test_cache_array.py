@@ -200,7 +200,7 @@ class TestLazyViews:
         line, _ = array.install(addr_of(1), state="S")
         assert line is victim
         assert array.lookup(addr_of(1)) is line
-        assert array.view(array.find(addr_of(1))) is line
+        assert array.view(line._slot) is line
         (only,) = array.iter_valid()
         assert only is line
         again, _ = array.install(addr_of(1), state="M")

@@ -12,7 +12,7 @@ import pytest
 from repro.analysis.experiments import ExperimentMatrix, run_figure4
 from repro.analysis.sweeps import sweep
 from repro.coherence.policies import PRESETS
-from repro.runner import Cell, CellError, effective_jobs
+from repro.runner import Cell, CellError, effective_jobs, executor
 from repro.store import ResultStore, resolve_cells
 from repro.system.config import SystemConfig
 from repro.workloads.base import Workload, WorkloadBuild
@@ -219,6 +219,32 @@ class TestFailureHandling:
         )
         assert results[0].ok
         assert any("inline" in line for line in lines)
+
+
+class TestWorkerPool:
+    def test_batches_queue_ahead_and_wait_in_any_order(self):
+        """Batches submitted back to back share the pool's workers; each
+        is collected whenever its owner asks, in any order."""
+        batch = cells_for(["bs", "tq", "pad"])
+        serial = resolve_cells(batch, jobs=1)
+        payloads = {index: executor.cell_payload(cell, None)
+                    for index, cell in enumerate(batch)}
+        labels = {index: cell.display for index, cell in enumerate(batch)}
+        lines: list[str] = []
+        results = [None] * len(batch)
+        with executor.WorkerPool(2) as pool:
+            first = pool.submit(executor.cell_worker, {0: payloads[0]},
+                                labels, executor.result_from_dict, None, 1,
+                                lines.append)
+            second = pool.submit(executor.cell_worker,
+                                 {1: payloads[1], 2: payloads[2]}, labels,
+                                 executor.result_from_dict, None, 1,
+                                 lines.append)
+            second.wait(results)
+            first.wait(results)
+        assert results == serial
+        assert sorted(line.split()[1] for line in lines) == ["1/1", "1/2",
+                                                             "2/2"]
 
 
 class TestMatrixIntegration:

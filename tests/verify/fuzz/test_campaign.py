@@ -7,8 +7,9 @@ import os
 
 import pytest
 
+from repro.runner import executor
 from repro.store import ResultStore
-from repro.verify.fuzz import campaign
+from repro.verify.fuzz import campaign, corpus
 from repro.verify.fuzz.campaign import (
     BATCH_PROGRAMS,
     COVERAGE_FILE,
@@ -21,6 +22,45 @@ from repro.verify.fuzz.corpus import Corpus
 BUDGET30_DIGEST = (
     "a35953b3403498f7c51639457a6267146db5ac46c29f2393641969c4fc8cd854"
 )
+
+
+#: environment of the crash drill: marker directory, crash targets
+_CRASH_DIR = "REPRO_TEST_CRASH_DIR"
+_CRASH_SEARCH = "REPRO_TEST_CRASH_SEARCH"
+_CRASH_SHRINK = "REPRO_TEST_CRASH_SHRINK"
+_litmus_worker = executor.litmus_worker
+_minimize_worker = corpus.minimize_worker
+
+
+def _exit_on_first_attempt(variable: str, name: str) -> None:
+    """Kill this worker process the first time it meets item ``name``
+    (a marker file records the attempt across processes)."""
+    if name != os.environ.get(variable):
+        return
+    marker = os.path.join(os.environ[_CRASH_DIR], variable)
+    if not os.path.exists(marker):
+        with open(marker, "w"):
+            pass
+        os._exit(1)
+
+
+def _crashing_litmus_worker(payload):
+    _exit_on_first_attempt(
+        _CRASH_SEARCH, f"{payload['test']['name']}@{payload['policy']}")
+    return _litmus_worker(payload)
+
+
+def _crashing_minimize_worker(payload):
+    entry = payload["entry"]
+    _exit_on_first_attempt(
+        _CRASH_SHRINK, f"shrink {entry['test']['name']}@{entry['policy']}")
+    return _minimize_worker(payload)
+
+
+def _interrupted_minimize_worker(payload):
+    if payload["entry"]["iteration"] >= BATCH_PROGRAMS:
+        raise RuntimeError("interrupted")
+    return _minimize_worker(payload)
 
 
 def _read(path):
@@ -84,6 +124,55 @@ class TestDeterminism:
         assert "baseline" in result.report_text
 
 
+class TestSharedPool:
+    def test_campaign_builds_one_pool(self, tmp_path, monkeypatch):
+        """Tripwire: search and shrink batches of a ``jobs > 1`` campaign
+        share one process pool (it used to start one per phase)."""
+        started = []
+
+        class CountingPool(executor.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(executor, "ProcessPoolExecutor", CountingPool)
+        result = run_campaign(
+            seed=0, budget=30, corpus_dir=str(tmp_path / "c"),
+            policies=["baseline"], jobs=2, minimize_runs=60,
+        )
+        assert result.corpus_digest == BUDGET30_DIGEST
+        assert started == [2]
+
+    def test_worker_crashes_are_retried_once(self, tmp_path, monkeypatch):
+        """A worker that dies on a search item and one that dies on a
+        shrink item break the pool; it is replaced, every in-flight item
+        is resubmitted, and the corpus is the uninterrupted one.  Each
+        item charged for a break gets exactly one retry line."""
+        monkeypatch.setenv(_CRASH_DIR, str(tmp_path))
+        monkeypatch.setenv(_CRASH_SEARCH, "fuzz_0_3@baseline")
+        monkeypatch.setenv(_CRASH_SHRINK, "shrink fuzz_0_25@baseline")
+        monkeypatch.setattr(executor, "litmus_worker", _crashing_litmus_worker)
+        monkeypatch.setattr(corpus, "minimize_worker", _crashing_minimize_worker)
+        lines: list[str] = []
+        result = run_campaign(
+            seed=0, budget=30, corpus_dir=str(tmp_path / "c"),
+            policies=["baseline"], jobs=2, minimize_runs=60,
+            progress=lines.append,
+        )
+        assert (tmp_path / _CRASH_SEARCH).exists()
+        assert (tmp_path / _CRASH_SHRINK).exists()
+        assert result.corpus_digest == BUDGET30_DIGEST
+        retried = [line.split(": ")[0].removeprefix("[runner] ")
+                   for line in lines if ", retry " in line]
+        assert all("crashed (BrokenProcessPool), retry 1/1" in line
+                   for line in lines if ", retry " in line)
+        assert len(retried) == len(set(retried))  # each item charged once
+        assert any(label.startswith("fuzz_0_3@baseline@") for label in retried)
+        assert "shrink fuzz_0_25@baseline" in retried
+        # a break charges at most the items the two workers were running
+        assert len(retried) <= 4
+
+
 class TestResume:
     def test_rerun_into_same_corpus_adds_nothing(self, tmp_path):
         corpus_dir = str(tmp_path / "c")
@@ -135,6 +224,29 @@ class TestResume:
             policies=["baseline"], jobs=1, minimize_runs=60,
         )
         assert resumed.corpus_digest == BUDGET30_DIGEST
+
+    def test_pooled_campaign_saves_coverage_in_batch_order(
+            self, tmp_path, monkeypatch):
+        """At ``jobs=2`` batch 2 is folded before batch 1's shrinks are
+        in; when batch 2's shrinks then fail, ``coverage.json`` must still
+        be batch 1's snapshot, so no row is claimed without its entry."""
+        batch1_dir = str(tmp_path / "batch1")
+        run_campaign(
+            seed=0, budget=BATCH_PROGRAMS, corpus_dir=batch1_dir,
+            policies=["baseline"], jobs=1, minimize_runs=60,
+        )
+        corpus_dir = str(tmp_path / "c")
+        monkeypatch.setattr(corpus, "minimize_worker",
+                            _interrupted_minimize_worker)
+        with pytest.raises(executor.CellError, match="interrupted"):
+            run_campaign(
+                seed=0, budget=30, corpus_dir=corpus_dir,
+                policies=["baseline"], jobs=2, minimize_runs=60,
+            )
+        assert _read(os.path.join(corpus_dir, COVERAGE_FILE)) == _read(
+            os.path.join(batch1_dir, COVERAGE_FILE)
+        )
+        assert Corpus(corpus_dir).digests() == Corpus(batch1_dir).digests()
 
     def test_larger_budget_extends_a_finished_campaign(self, tmp_path):
         corpus_dir = str(tmp_path / "c")
